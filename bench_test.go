@@ -175,6 +175,20 @@ func BenchmarkMeasureStreaming(b *testing.B) {
 	}
 }
 
+// BenchmarkMeasureVariantHit is the allocation guard for the single-variant
+// memo-hit path, the path every measurement of a cached optimize job takes.
+// CI pins allocs/op (see the allocation-ceiling step).
+func BenchmarkMeasureVariantHit(b *testing.B) {
+	ctx := exp.QuickContext()
+	app := acrobatProgram()
+	ctx.MeasureVariant(*app, exp.VarBase, cpu.DefaultConfig(), false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx.MeasureVariant(*app, exp.VarBase, cpu.DefaultConfig(), false)
+	}
+}
+
 // benchmarkSimTelemetry is the overhead guard for the telemetry nil-sink
 // fast path: Off simulates with Config.Metrics nil (the default every
 // experiment runs with unless -metrics-addr is up) and must stay within 2%

@@ -27,8 +27,8 @@ import (
 // sequence, never on scheduling.
 //
 // A BatchSim is stateful like Sim: hierarchy and predictor state persist
-// across RunStream/Run calls, so a warm-up window followed by a measured
-// window sees warm lanes, exactly as back-to-back Sim.Run calls would.
+// across RunStream calls, so a warm-up window followed by a measured
+// window sees warm lanes, exactly as back-to-back Sim.RunStream calls would.
 type BatchSim struct {
 	sims []*Sim
 
@@ -124,27 +124,6 @@ func (b *BatchSim) RunStream(st Stream) []Result {
 	}
 	for _, ch := range chans {
 		close(ch)
-	}
-	wg.Wait()
-	return results
-}
-
-// Run simulates one materialized window on every lane. The shared slices are
-// read-only to the lanes, so no broadcast copies are needed; lanes still run
-// concurrently where cores allow.
-func (b *BatchSim) Run(dyns []trace.Dyn, fanouts []int32) []Result {
-	results := make([]Result, len(b.sims))
-	if len(b.sims) == 1 {
-		results[0] = b.sims[0].Run(dyns, fanouts)
-		return results
-	}
-	var wg sync.WaitGroup
-	for i := range b.sims {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = b.sims[i].Run(dyns, fanouts)
-		}(i)
 	}
 	wg.Wait()
 	return results

@@ -44,7 +44,7 @@ func serialResults(dyns []trace.Dyn, cfgs []Config, chunk int) []Result {
 	out := make([]Result, len(cfgs))
 	for i, cfg := range cfgs {
 		fs := dfg.NewFanoutStream(trace.NewSliceSource(dyns, chunk), 128)
-		out[i] = stripHandles(New(cfg).RunStream(fs))
+		out[i] = New(cfg).RunStream(fs)
 	}
 	return out
 }
@@ -65,29 +65,11 @@ func TestBatchSimMatchesSerial(t *testing.T) {
 			fs := dfg.NewFanoutStream(trace.NewSliceSource(dyns, chunk), 128)
 			got := b.RunStream(fs)
 			for i := range cfgs {
-				if !reflect.DeepEqual(stripHandles(got[i]), want[i]) {
+				if !reflect.DeepEqual(got[i], want[i]) {
 					t.Errorf("collect=%v chunk=%d lane=%d: batched Result differs from serial",
 						collect, chunk, i)
 				}
 			}
-		}
-	}
-}
-
-// TestBatchSimRunMatchesSerial covers the materialized entry point: lanes
-// share the input slices read-only and must match lone Sims exactly.
-func TestBatchSimRunMatchesSerial(t *testing.T) {
-	dyns := appDyns(t, 12_000)
-	fan := dfg.Fanouts(dyns, 128)
-	cfgs := batchConfigs()
-	want := make([]Result, len(cfgs))
-	for i, cfg := range cfgs {
-		want[i] = stripHandles(New(cfg).Run(dyns, fan))
-	}
-	got := NewBatch(cfgs).Run(dyns, fan)
-	for i := range cfgs {
-		if !reflect.DeepEqual(stripHandles(got[i]), want[i]) {
-			t.Errorf("lane %d: batched Run differs from serial Run", i)
 		}
 	}
 }
@@ -105,14 +87,14 @@ func TestBatchSimWarmThenMeasure(t *testing.T) {
 	for i, cfg := range cfgs {
 		s := New(cfg)
 		s.RunStream(dfg.NewFanoutStream(trace.NewSliceSource(warm, 1024), 128))
-		want[i] = stripHandles(s.RunStream(dfg.NewFanoutStream(trace.NewSliceSource(meas, 1024), 128)))
+		want[i] = s.RunStream(dfg.NewFanoutStream(trace.NewSliceSource(meas, 1024), 128))
 	}
 
 	b := NewBatch(cfgs)
 	b.RunStream(dfg.NewFanoutStream(trace.NewSliceSource(warm, 1024), 128))
 	got := b.RunStream(dfg.NewFanoutStream(trace.NewSliceSource(meas, 1024), 128))
 	for i := range cfgs {
-		if !reflect.DeepEqual(stripHandles(got[i]), want[i]) {
+		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("lane %d: warm+measure batch differs from serial two-pass flow", i)
 		}
 	}
@@ -133,7 +115,7 @@ func TestBatchLaneOrderIndependence(t *testing.T) {
 	}
 	got := NewBatch(pcfgs).RunStream(dfg.NewFanoutStream(trace.NewSliceSource(dyns, 4096), 128))
 	for to, from := range perm {
-		if !reflect.DeepEqual(stripHandles(got[to]), stripHandles(base[from])) {
+		if !reflect.DeepEqual(got[to], base[from]) {
 			t.Errorf("lane %d (was %d): Result changed under lane permutation", to, from)
 		}
 	}
@@ -152,7 +134,7 @@ func TestBatchSplitIndependence(t *testing.T) {
 		b := NewBatch(cfgs[cut:]).RunStream(dfg.NewFanoutStream(trace.NewSliceSource(dyns, 4096), 128))
 		split := append(append([]Result{}, a...), b...)
 		for i := range cfgs {
-			if !reflect.DeepEqual(stripHandles(split[i]), stripHandles(base[i])) {
+			if !reflect.DeepEqual(split[i], base[i]) {
 				t.Errorf("cut=%d lane=%d: Result changed when the batch was split", cut, i)
 			}
 		}

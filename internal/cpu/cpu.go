@@ -178,12 +178,6 @@ type Result struct {
 	L2Accesses     int64
 	DRAMAccesses   int64
 
-	// Hierarchy/BPU handles for stats and the energy model. In-memory only:
-	// excluded from the JSON wire form (internal/dist ships Results between
-	// machines; no consumer of a remote result reads these).
-	Hier *cache.Hierarchy `json:"-"`
-	BPU  *bpu.Predictor   `json:"-"`
-
 	// Records is non-nil when Config.CollectRecords is set; aligned with
 	// the input dyn slice.
 	Records []Record
@@ -384,7 +378,7 @@ func (s *Sim) Run(dyns []trace.Dyn, fanouts []int32) Result {
 // additionally copied out to the O(n) Result.Records slice as instructions
 // retire.
 func (s *Sim) RunStream(st Stream) Result {
-	res := Result{Hier: s.hier, BPU: s.bpu}
+	var res Result
 	collect := s.cfg.CollectRecords
 	ia0, im0 := s.hier.L1I.Accesses, s.hier.L1I.Misses
 	da0, dm0 := s.hier.L1D.Accesses, s.hier.L1D.Misses

@@ -128,11 +128,11 @@ func FuzzBatchSim(f *testing.F) {
 		want := make([]Result, lanes)
 		for i, cfg := range cfgs {
 			fs := dfg.NewFanoutStream(trace.NewSliceSource(dyns, chunk), 128)
-			want[i] = stripHandles(New(cfg).RunStream(fs))
+			want[i] = New(cfg).RunStream(fs)
 		}
 		got := NewBatch(cfgs).RunStream(dfg.NewFanoutStream(trace.NewSliceSource(dyns, chunk), 128))
 		for i := range cfgs {
-			if !reflect.DeepEqual(stripHandles(got[i]), want[i]) {
+			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Fatalf("lane %d of %d (chunk %d, %d dyns): batched Result differs from serial",
 					i, lanes, chunk, len(dyns))
 			}

@@ -22,13 +22,6 @@ func appDyns(t *testing.T, n int) []trace.Dyn {
 	return g.Generate(nil, n)
 }
 
-// stripHandles clears the in-memory-only handle fields so two Results from
-// distinct Sim instances can be compared with reflect.DeepEqual.
-func stripHandles(r Result) Result {
-	r.Hier, r.BPU = nil, nil
-	return r
-}
-
 // TestRunStreamMatchesRun drives the same window through the materialized
 // entry point (Run over a full slice with precomputed fanouts) and through
 // RunStream over a chunked source with online fanouts, for both record
@@ -39,10 +32,10 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	for _, collect := range []bool{false, true} {
 		cfg := DefaultConfig()
 		cfg.CollectRecords = collect
-		want := stripHandles(New(cfg).Run(dyns, fan))
+		want := New(cfg).Run(dyns, fan)
 		for _, chunk := range []int{1, 257, 4096} {
 			fs := dfg.NewFanoutStream(trace.NewSliceSource(dyns, chunk), 128)
-			got := stripHandles(New(cfg).RunStream(fs))
+			got := New(cfg).RunStream(fs)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("collect=%v chunk=%d: streamed Result differs\ngot:  %+v\nwant: %+v",
 					collect, chunk, got, want)
@@ -56,8 +49,8 @@ func TestRunStreamMatchesRun(t *testing.T) {
 func TestRunStreamNilFanouts(t *testing.T) {
 	dyns := appDyns(t, 10_000)
 	cfg := DefaultConfig()
-	want := stripHandles(New(cfg).Run(dyns, nil))
-	got := stripHandles(New(cfg).RunStream(&sliceStream{dyns: dyns}))
+	want := New(cfg).Run(dyns, nil)
+	got := New(cfg).RunStream(&sliceStream{dyns: dyns})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("streamed Result differs\ngot:  %+v\nwant: %+v", got, want)
 	}
@@ -72,11 +65,11 @@ func TestRunStreamContinuity(t *testing.T) {
 	fa, fb := fan[:12_000], fan[12_000:]
 
 	sm := New(DefaultConfig())
-	wa, wb := stripHandles(sm.Run(a, fa)), stripHandles(sm.Run(b, fb))
+	wa, wb := sm.Run(a, fa), sm.Run(b, fb)
 
 	ss := New(DefaultConfig())
-	ga := stripHandles(ss.RunStream(dfg.NewFanoutStream(trace.NewSliceSource(a, 999), 128)))
-	gb := stripHandles(ss.RunStream(dfg.NewFanoutStream(trace.NewSliceSource(b, 999), 128)))
+	ga := ss.RunStream(dfg.NewFanoutStream(trace.NewSliceSource(a, 999), 128))
+	gb := ss.RunStream(dfg.NewFanoutStream(trace.NewSliceSource(b, 999), 128))
 	if !reflect.DeepEqual(ga, wa) || !reflect.DeepEqual(gb, wb) {
 		t.Fatal("streamed back-to-back windows differ from materialized runs")
 	}

@@ -406,19 +406,7 @@ var errNoWorkers = errors.New("dist: no healthy workers")
 // the fleet with retry, backoff and hedging, and returns the decoded
 // measurement. Any error sends the caller to its local fallback.
 func (c *Coordinator) MeasureRemote(ctx context.Context, req exp.MeasureRequest) (*exp.Measurement, error) {
-	if c.draining.Load() {
-		return nil, errors.New("dist: coordinator draining")
-	}
-	c.inflight.Add(1)
-	defer c.inflight.Done()
-
-	var tc *traceCtx
-	if t, parent, ok := obs.FromContext(ctx); ok && t != nil {
-		tc = &traceCtx{t: t, parent: parent, job: t.ID()}
-	}
-
-	task := Task{ID: c.nextTask.Add(1), Req: req}
-	tr, err := c.run(ctx, task, tc)
+	tr, err := c.run(ctx, Task{Req: req})
 	if err != nil {
 		return nil, err
 	}
@@ -429,6 +417,18 @@ func (c *Coordinator) MeasureRemote(ctx context.Context, req exp.MeasureRequest)
 // digest-referenced artifacts) to the fleet with the same retry/backoff/
 // hedging machinery as measurements, returning the per-chunk results.
 func (c *Coordinator) ScanRemote(ctx context.Context, st ScanTask) ([]scan.ChunkResult, error) {
+	tr, err := c.run(ctx, Task{Scan: &st})
+	if err != nil {
+		return nil, err
+	}
+	return tr.Scan, nil
+}
+
+// run is the shared dispatch wrapper behind MeasureRemote and ScanRemote. It
+// refuses work while draining, counts the task in flight so a drain waits
+// for it, numbers it, picks up the caller's job trace, and wraps dispatch in
+// metrics, fallback events and the dispatch-RTT SLO stage.
+func (c *Coordinator) run(ctx context.Context, task Task) (*TaskResult, error) {
 	if c.draining.Load() {
 		return nil, errors.New("dist: coordinator draining")
 	}
@@ -439,18 +439,8 @@ func (c *Coordinator) ScanRemote(ctx context.Context, st ScanTask) ([]scan.Chunk
 	if t, parent, ok := obs.FromContext(ctx); ok && t != nil {
 		tc = &traceCtx{t: t, parent: parent, job: t.ID()}
 	}
+	task.ID = c.nextTask.Add(1)
 
-	task := Task{ID: c.nextTask.Add(1), Scan: &st}
-	tr, err := c.run(ctx, task, tc)
-	if err != nil {
-		return nil, err
-	}
-	return tr.Scan, nil
-}
-
-// run is the shared dispatch wrapper behind MeasureRemote and ScanRemote:
-// metrics, fallback events and the dispatch-RTT SLO stage around one task.
-func (c *Coordinator) run(ctx context.Context, task Task, tc *traceCtx) (*TaskResult, error) {
 	start := time.Now()
 	tr, err := c.dispatch(ctx, task, tc)
 	if err != nil {

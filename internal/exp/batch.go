@@ -1,96 +1,140 @@
 package exp
 
 import (
-	"time"
+	"context"
+	"slices"
 
 	"critics/internal/cpu"
-	"critics/internal/dfg"
+	"critics/internal/obs"
 	"critics/internal/sched"
-	"critics/internal/trace"
 	"critics/internal/workload"
 )
 
-// MeasureBatch measures several machine configurations of one (app, variant)
-// in a single batched build: the configurations share a trace key (same
-// generated program, seed and window), so their measurements differ only in
-// the simulated machine — exactly the shape of the fig10/fig11/fig12/fig13
-// design-space sweeps. Cache misses are simulated together on a cpu.BatchSim
-// (one trace-generation + fanout pass feeding N lockstep lanes) and each
-// lane's Measurement is then published to the memo cache under the same
-// per-variant key MeasureVariant uses — so results are bit-identical to K
-// independent MeasureVariant calls, later single-variant lookups hit the same
-// entries, and distributed workers never see a new request shape.
+// MeasureBatch measures machine configurations of one (app, variant)
+// through the memo cache. It is the one memoized measurement path;
+// MeasureVariant is its one-configuration case. Each configuration's key
+// covers everything the result depends on: workload seed and generator
+// parameters (a.Params), compiler configuration (kind), machine
+// configuration (telemetry sink stripped), collect mode, and the context's
+// window/profiling scale. Results are positional and shared, so callers
+// must treat them as read-only; under a cancelled run context they may be
+// nil.
 //
-// Batching is a build-strategy choice only. Cached configurations are served
-// from the memo (Memo.Peek) without joining the batch; a single remaining
-// miss, or a context with a Remote attached (fleet execution is already
-// per-variant), degenerates to MeasureVariant. Under a cancelled run context
-// results may be nil, as with MeasureVariant.
+// Every distinct key gets one memo lookup, in order. The first lookup that
+// misses builds its configuration together with every later configuration
+// not yet cached, as lanes of one measure call (one trace pass feeding
+// lockstep cpu.BatchSim lanes — the shape of the fig10/fig11/fig12/fig13
+// design-space sweeps); the later lookups publish those lanes under their
+// own keys. A lane is bit-identical to a one-lane build, so grouping only
+// changes build strategy: later single-variant lookups hit the same
+// entries, and distributed workers never see a new request shape. With a
+// Remote attached each miss is dispatched as its own MeasureRequest, and a
+// miss the fleet cannot serve is built locally as one lane.
 func (c *Context) MeasureBatch(a workload.App, kind string, cfgs []cpu.Config, collect bool) []*Measurement {
-	out := make([]*Measurement, len(cfgs))
-	if len(cfgs) == 0 {
-		return out
+	// Sweep-sized key sets stay on the stack: a single-variant memo hit
+	// allocates only its key, its label and the result slice.
+	var kbuf [8]sched.Key
+	keys := kbuf[:0]
+	for _, cfg := range cfgs {
+		// Telemetry sinks never participate in cache identity; measure
+		// re-attaches the context's sink to each lane.
+		cfg.Metrics = nil
+		keys = append(keys, sched.KeyOf("meas", a.Params, kind, cfg, collect,
+			c.Seed, c.WarmupArch, c.WarmArch, c.MeasureArch, c.ProfilePlan, c.HighFanout))
 	}
-
-	// Resolve each configuration's memo key (telemetry stripped, exactly as
-	// MeasureVariant), peel off cache hits and in-batch duplicates, and
-	// collect the misses that are worth building together.
-	keys := make([]sched.Key, len(cfgs))
-	first := make(map[sched.Key]int, len(cfgs))
-	dupOf := make([]int, len(cfgs))
-	var miss []int
-	for i, cfg := range cfgs {
-		kcfg := cfg
-		kcfg.Metrics = nil
-		keys[i] = sched.KeyOf("meas", a.Params, kind, kcfg, collect,
-			c.Seed, c.WarmupArch, c.WarmArch, c.MeasureArch, c.ProfilePlan, c.HighFanout)
-		if j, ok := first[keys[i]]; ok {
-			dupOf[i] = j
+	label := "measure " + a.Params.Name + "/" + kind
+	out := make([]*Measurement, len(cfgs))
+	var built map[sched.Key]*Measurement // lanes measured ahead of their own lookup
+	for i := range cfgs {
+		if j := slices.Index(keys, keys[i]); j < i {
+			out[i] = out[j] // a repeated configuration shares its first result
 			continue
 		}
-		first[keys[i]] = i
-		dupOf[i] = i
-		if m, ok := c.caches.meas.Peek(keys[i]); ok {
-			out[i] = m
-		} else {
-			miss = append(miss, i)
+		if out[i] != nil {
+			continue // served by the peek of an earlier miss's lane planning
 		}
-	}
-
-	switch {
-	case len(miss) == 0:
-		// Fully cached.
-	case len(miss) == 1 || c.remote != nil || c.serialSweeps:
-		// Nothing to batch, the fleet executes per-variant units, or the
-		// serial reference schedule is forced: the established
-		// single-variant path (memoized, remote-capable).
-		for _, i := range miss {
-			out[i] = c.MeasureVariant(a, kind, cfgs[i], collect)
-		}
-	default:
-		missCfgs := make([]cpu.Config, len(miss))
-		for bi, i := range miss {
-			missCfgs[bi] = cfgs[i]
-		}
-		ms := c.measureBatch(a, kind, missCfgs, collect)
-		for bi, i := range miss {
-			m := ms[bi]
-			// Publish under the per-variant key. If another goroutine built
-			// the same key since the peek, the single-flight entry wins and
-			// we share it — bit-identical either way. Under a cancelled run
-			// context the validity check discards the value and nil comes
-			// back, matching MeasureVariant.
-			out[i] = memoGet(c, c.caches.meas, "measure "+a.Params.Name+"/"+kind, keys[i],
-				func() *Measurement { return m }, measurementCost)
-		}
-	}
-
-	for i := range out {
-		if out[i] == nil && dupOf[i] != i {
-			out[i] = out[dupOf[i]]
-		}
+		out[i] = memoGet(c, c.caches.meas, label, keys[i], func() *Measurement {
+			if m, ok := built[keys[i]]; ok {
+				return m
+			}
+			if c.remote != nil {
+				if m, served := c.measureRemote(a, kind, cfgs[i], collect, label, keys[i]); served {
+					return m
+				}
+				defer c.fallbackSpan(label, keys[i])()
+			}
+			// This miss's lanes: itself plus every later configuration that
+			// is neither a repeat nor cached. A peeked hit is served here,
+			// which is that key's one lookup.
+			lanes := []int{i}
+			for j := i + 1; j < len(cfgs) && c.remote == nil && !c.serialSweeps; j++ {
+				if slices.Contains(keys[:j], keys[j]) {
+					continue
+				}
+				if m, ok := c.caches.meas.Peek(keys[j]); ok {
+					out[j] = m
+					continue
+				}
+				lanes = append(lanes, j)
+			}
+			laneCfgs := make([]cpu.Config, len(lanes))
+			for k, j := range lanes {
+				laneCfgs[k] = cfgs[j]
+			}
+			p, _ := c.Variant(a, kind)
+			ms := c.measure(p, laneCfgs, collect)
+			built = make(map[sched.Key]*Measurement, len(lanes))
+			for k, j := range lanes {
+				built[keys[j]] = ms[k]
+			}
+			return ms[0]
+		}, measurementCost)
 	}
 	return out
+}
+
+// measureRemote dispatches one configuration's MeasureRequest to the
+// attached Remote. served is false when the fleet could not serve it
+// (drained, all workers down, retries exhausted) and the caller must build
+// locally; a run cancelled mid-dispatch is served with a discardable nil,
+// which the memo validity check drops before the run fails on Err.
+func (c *Context) measureRemote(a workload.App, kind string, cfg cpu.Config, collect bool, label string, key sched.Key) (m *Measurement, served bool) {
+	ctx := c.runCtx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// Re-parent the trace context onto this build's span so the
+	// dispatch/retry spans the remote records hang under it.
+	if t, _, ok := obs.FromContext(ctx); ok {
+		ctx = obs.ContextWith(ctx, t, obs.BuildSpanID(label, keyHex8(key)))
+	}
+	cfg.Metrics = nil
+	m, err := c.remote.MeasureRemote(ctx, MeasureRequest{
+		App: a.Params, Kind: kind, Config: cfg, Collect: collect,
+		Seed: c.Seed, WarmupArch: c.WarmupArch, WarmArch: c.WarmArch,
+		MeasureArch: c.MeasureArch, ProfilePlan: c.ProfilePlan,
+		HighFanout: c.HighFanout,
+	})
+	if err == nil {
+		return m, true
+	}
+	// Remote implementations account the fallback.
+	return nil, c.Err() != nil
+}
+
+// fallbackSpan starts the span of a local build that stands in for a failed
+// remote dispatch, under the build span of key; calling the returned func
+// ends it. Without a job trace both are no-ops.
+func (c *Context) fallbackSpan(label string, key sched.Key) func() {
+	t, _, ok := obs.FromContext(c.runCtx)
+	if !ok {
+		return func() {}
+	}
+	id := obs.BuildSpanID(label, keyHex8(key))
+	t0 := t.Now()
+	return func() {
+		t.Add(obs.Span{ID: id + ":lf", Parent: id, Name: "local-fallback", StartUS: t0, DurUS: t.Now() - t0})
+	}
 }
 
 // MeasureUnit names one measurement of a design-space sweep: a compiled
@@ -130,68 +174,4 @@ func (c *Context) MeasureSweep(a workload.App, units []MeasureUnit, collect bool
 		}
 	}
 	return out
-}
-
-// measureBatch is the uncached batched build: one generated trace feeds every
-// configuration as a lockstep BatchSim lane. It mirrors Measure exactly —
-// same warm-up skip, warm window, measured window and per-lane WindowAgg
-// observer — so lane i's Measurement is bit-identical to Measure(p, cfgs[i]).
-func (c *Context) measureBatch(a workload.App, kind string, cfgs []cpu.Config, collect bool) []*Measurement {
-	p, _ := c.Variant(a, kind)
-	if c.tel != nil {
-		for i := range cfgs {
-			cfgs[i].Metrics = c.tel.Sim
-		}
-		c.tel.BatchedMeasurements.Add(int64(len(cfgs)))
-		c.tel.BatchLanes.Observe(float64(len(cfgs)))
-		defer func(start time.Time) {
-			c.tel.MeasureSeconds.Observe(time.Since(start).Seconds())
-		}(time.Now())
-	}
-	for i := range cfgs {
-		cfgs[i].CollectRecords = collect
-	}
-
-	g := trace.NewGenerator(p, c.Seed)
-	g.SkipArch(c.WarmupArch)
-	b := cpu.NewBatch(cfgs)
-	ms := make([]*Measurement, len(cfgs))
-	for i := range ms {
-		ms[i] = &Measurement{}
-	}
-
-	if collect {
-		warm := g.GenerateArch(nil, c.WarmArch)
-		dyns := g.GenerateArch(nil, c.MeasureArch)
-		warmFan := dfg.Fanouts(warm, 128)
-		fan := dfg.Fanouts(dyns, 128)
-		b.Run(warm, warmFan)
-		for i := range ms {
-			b.Lane(i).OnCommit(ms[i].aggObserver(c.HighFanout))
-		}
-		res := b.Run(dyns, fan)
-		for i := range ms {
-			ms[i].Res = res[i]
-			// The window is shared read-only across the batch's
-			// measurements, like every cached Measurement already is.
-			ms[i].Dyns, ms[i].Fanouts = dyns, fan
-		}
-		return ms
-	}
-
-	bufs := measureBufs.Get().(*measureBuffers)
-	defer measureBufs.Put(bufs)
-	bufs.src.Reset(g, c.WarmArch, trace.DefaultChunk)
-	bufs.fs.Reset(&bufs.src, 128)
-	b.RunStream(&bufs.fs)
-	for i := range ms {
-		b.Lane(i).OnCommit(ms[i].aggObserver(c.HighFanout))
-	}
-	bufs.src.Reset(g, c.MeasureArch, trace.DefaultChunk)
-	bufs.fs.Reset(&bufs.src, 128)
-	res := b.RunStream(&bufs.fs)
-	for i := range ms {
-		ms[i].Res = res[i]
-	}
-	return ms
 }

@@ -27,7 +27,6 @@ import (
 	"critics/internal/cpu"
 	"critics/internal/dfg"
 	"critics/internal/layout"
-	"critics/internal/obs"
 	"critics/internal/prog"
 	"critics/internal/sched"
 	"critics/internal/telemetry"
@@ -73,8 +72,8 @@ type Context struct {
 	mapper sched.Mapper
 	remote Remote
 
-	// serialSweeps forces MeasureBatch to build its misses through the
-	// per-variant MeasureVariant path — the serial reference schedule the
+	// serialSweeps forces MeasureBatch to build each miss as its own
+	// one-lane measurement — the serial reference schedule the
 	// batched-equivalence tests compare the lockstep builds against.
 	serialSweeps bool
 
@@ -194,11 +193,11 @@ func (c *Context) validFn() func() bool {
 func (c *Context) SetMapper(m sched.Mapper) { c.mapper = m }
 
 // SetRemote routes measurement units (the expensive profile→compile→simulate
-// leaf of every experiment) through r: MeasureVariant cache misses dispatch a
-// MeasureRequest instead of computing locally, and the returned measurement
-// is cached as if it had been built here. A dispatch error falls back to
-// local computation, so a degraded or empty fleet slows a run down but never
-// fails it. nil restores local execution.
+// leaf of every experiment) through r: each measurement cache miss
+// dispatches its own MeasureRequest instead of computing locally, and the
+// returned measurement is cached as if it had been built here. A dispatch
+// error falls back to local computation, so a degraded or empty fleet slows
+// a run down but never fails it. nil restores local execution.
 func (c *Context) SetRemote(r Remote) { c.remote = r }
 
 // QuickContext returns a reduced-scale context for tests and benchmarks.
@@ -452,51 +451,85 @@ type measureBuffers struct {
 var measureBufs = sync.Pool{New: func() any { return new(measureBuffers) }}
 
 // Measure simulates one program under cfg over the context's measurement
-// window (with warm-up), optionally collecting per-instruction records.
-// This is the uncached primitive; experiment runners go through
-// MeasureVariant, which memoizes the result.
-//
-// With collect=false the whole generate → fanout → simulate path streams in
-// chunks: peak memory is O(chunk + fanout window) regardless of MeasureArch,
-// and the returned Measurement retains only Res and Agg. collect=true
-// materializes the window (Dyns, Fanouts, Res.Records) for per-instruction
-// consumers. Both paths produce bit-identical Res and Agg.
+// window (with warm-up), optionally collecting per-instruction records. It
+// is the uncached one-lane case of the measurement build; experiment runners
+// go through MeasureVariant/MeasureBatch, which memoize the result.
 func (c *Context) Measure(p *prog.Program, cfg cpu.Config, collect bool) *Measurement {
+	return c.measure(p, []cpu.Config{cfg}, collect)[0]
+}
+
+// measure is the uncached measurement build. It generates p's trace once
+// and streams it, in chunks, through one online fanout pass into a
+// cpu.BatchSim lane per configuration: the warm-up skip, then the warm
+// window, then the measured window, whose retirements each lane folds into
+// its Measurement's WindowAgg. A lane's result depends only on its own
+// configuration and the shared stream, so it is bit-identical however the
+// configurations are grouped. Peak memory is O(lanes × (chunk + fanout
+// window)) regardless of MeasureArch.
+//
+// collect=true keeps each lane's per-instruction records (CollectRecords)
+// and tees the measured window's chunks into Dyns/Fanouts, shared
+// read-only by every lane's Measurement. measure sets each lane's
+// CollectRecords and telemetry sink in cfgs in place.
+func (c *Context) measure(p *prog.Program, cfgs []cpu.Config, collect bool) []*Measurement {
 	if c.tel != nil {
-		cfg.Metrics = c.tel.Sim
+		if len(cfgs) > 1 {
+			c.tel.BatchedMeasurements.Add(int64(len(cfgs)))
+			c.tel.BatchLanes.Observe(float64(len(cfgs)))
+		}
 		defer func(start time.Time) {
 			c.tel.MeasureSeconds.Observe(time.Since(start).Seconds())
 		}(time.Now())
 	}
+	for i := range cfgs {
+		cfgs[i].CollectRecords = collect
+		if c.tel != nil {
+			cfgs[i].Metrics = c.tel.Sim
+		}
+	}
+	b := cpu.NewBatch(cfgs)
 	g := trace.NewGenerator(p, c.Seed)
 	g.SkipArch(c.WarmupArch)
 
-	cfg.CollectRecords = collect
-	s := cpu.New(cfg)
-	m := &Measurement{}
+	bufs := measureBufs.Get().(*measureBuffers)
+	defer measureBufs.Put(bufs)
+	bufs.src.Reset(g, c.WarmArch, trace.DefaultChunk)
+	bufs.fs.Reset(&bufs.src, 128)
+	b.RunStream(&bufs.fs)
 
-	if collect {
-		warm := g.GenerateArch(nil, c.WarmArch)
-		dyns := g.GenerateArch(nil, c.MeasureArch)
-		warmFan := dfg.Fanouts(warm, 128)
-		fan := dfg.Fanouts(dyns, 128)
-		s.Run(warm, warmFan)
-		s.OnCommit(m.aggObserver(c.HighFanout))
-		m.Res = s.Run(dyns, fan)
-		m.Dyns, m.Fanouts = dyns, fan
-		return m
+	ms := make([]*Measurement, len(cfgs))
+	for i := range ms {
+		ms[i] = &Measurement{}
+		b.Lane(i).OnCommit(ms[i].aggObserver(c.HighFanout))
 	}
+	bufs.src.Reset(g, c.MeasureArch, trace.DefaultChunk)
+	bufs.fs.Reset(&bufs.src, 128)
+	var st cpu.Stream = &bufs.fs
+	tee := windowTee{st: st}
+	if collect {
+		st = &tee
+	}
+	res := b.RunStream(st)
+	for i, m := range ms {
+		m.Res = res[i]
+		m.Dyns, m.Fanouts = tee.dyns, tee.fan
+	}
+	return ms
+}
 
-	b := measureBufs.Get().(*measureBuffers)
-	defer measureBufs.Put(b)
-	b.src.Reset(g, c.WarmArch, trace.DefaultChunk)
-	b.fs.Reset(&b.src, 128)
-	s.RunStream(&b.fs)
-	s.OnCommit(m.aggObserver(c.HighFanout))
-	b.src.Reset(g, c.MeasureArch, trace.DefaultChunk)
-	b.fs.Reset(&b.src, 128)
-	m.Res = s.RunStream(&b.fs)
-	return m
+// windowTee passes a stream through unchanged while appending a copy of
+// every chunk to a materialized window: the collect=true side of measure.
+type windowTee struct {
+	st   cpu.Stream
+	dyns []trace.Dyn
+	fan  []int32
+}
+
+func (t *windowTee) Next() ([]trace.Dyn, []int32) {
+	d, f := t.st.Next()
+	t.dyns = append(t.dyns, d...)
+	t.fan = append(t.fan, f...)
+	return d, f
 }
 
 // windowSource returns a chunked Source over the context's measure window of
@@ -512,68 +545,13 @@ func (c *Context) windowSource(a workload.App, kind string, chunk int) *trace.Ge
 }
 
 // MeasureVariant measures one (app, variant, machine config) shard through
-// the memo cache: the baseline trace/simulation for an app is computed once
-// and reused by every experiment that needs it (fig1a/fig3/fig10/...)
-// instead of once per figure. The key covers everything the result depends
-// on: workload seed and generator parameters (a.Params), compiler
-// configuration (kind), machine configuration (cfg), and the context's
-// window/profiling scale. The returned Measurement is shared — callers must
-// treat it as read-only.
+// the memo cache: the one-configuration case of MeasureBatch. The baseline
+// trace/simulation for an app is computed once and reused by every
+// experiment that needs it (fig1a/fig3/fig10/...) instead of once per
+// figure. The returned Measurement is shared — callers must treat it as
+// read-only.
 func (c *Context) MeasureVariant(a workload.App, kind string, cfg cpu.Config, collect bool) *Measurement {
-	// Telemetry sinks never participate in cache identity: the key covers
-	// the simulated configuration only, and Measure re-attaches the
-	// context's sink after the lookup.
-	kcfg := cfg
-	kcfg.Metrics = nil
-	key := sched.KeyOf("meas", a.Params, kind, kcfg, collect,
-		c.Seed, c.WarmupArch, c.WarmArch, c.MeasureArch, c.ProfilePlan, c.HighFanout)
-	label := "measure " + a.Params.Name + "/" + kind
-	return memoGet(c, c.caches.meas, label, key, func() *Measurement {
-		remoteFailed := false
-		if c.remote != nil {
-			ctx := c.runCtx
-			if ctx == nil {
-				ctx = context.Background()
-			}
-			// Re-parent the trace context onto this build's span so the
-			// dispatch/retry spans the remote records hang under it.
-			if t, _, ok := obs.FromContext(ctx); ok {
-				ctx = obs.ContextWith(ctx, t, obs.BuildSpanID(label, keyHex8(key)))
-			}
-			m, err := c.remote.MeasureRemote(ctx, MeasureRequest{
-				App: a.Params, Kind: kind, Config: kcfg, Collect: collect,
-				Seed: c.Seed, WarmupArch: c.WarmupArch, WarmArch: c.WarmArch,
-				MeasureArch: c.MeasureArch, ProfilePlan: c.ProfilePlan,
-				HighFanout: c.HighFanout,
-			})
-			if err == nil {
-				return m
-			}
-			if c.Err() != nil {
-				// Cancelled mid-dispatch: return a discardable zero — the
-				// memo validity check drops it and the run fails on Err.
-				return nil
-			}
-			// The fleet could not serve the task (drained, all workers
-			// down, retries exhausted): compute locally so the run still
-			// completes. Remote implementations account the fallback.
-			remoteFailed = true
-		}
-		if remoteFailed {
-			if t, _, ok := obs.FromContext(c.runCtx); ok {
-				t0 := t.Now()
-				defer func() {
-					t.Add(obs.Span{
-						ID:     obs.BuildSpanID(label, keyHex8(key)) + ":lf",
-						Parent: obs.BuildSpanID(label, keyHex8(key)),
-						Name:   "local-fallback", StartUS: t0, DurUS: t.Now() - t0,
-					})
-				}()
-			}
-		}
-		p, _ := c.Variant(a, kind)
-		return c.Measure(p, cfg, collect)
-	}, measurementCost)
+	return c.MeasureBatch(a, kind, []cpu.Config{cfg}, collect)[0]
 }
 
 // MeasureRequest is the serializable description of one MeasureVariant call

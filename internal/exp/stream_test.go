@@ -15,8 +15,9 @@ import (
 // the reference for the streaming equivalence tests: generate both windows
 // up front, compute fanouts over the full slices, simulate, and rebuild the
 // window aggregates from the record slice afterwards (independently of the
-// OnCommit fold the production path uses).
-func refMeasure(c *Context, p *prog.Program, cfg cpu.Config) (cpu.Result, WindowAgg) {
+// OnCommit fold the production path uses). It also returns the measured
+// window and its fanouts.
+func refMeasure(c *Context, p *prog.Program, cfg cpu.Config) (cpu.Result, WindowAgg, []trace.Dyn, []int32) {
 	g := trace.NewGenerator(p, c.Seed)
 	g.SkipArch(c.WarmupArch)
 	warm := g.GenerateArch(nil, c.WarmArch)
@@ -56,19 +57,28 @@ func refMeasure(c *Context, p *prog.Program, cfg cpu.Config) (cpu.Result, Window
 			}
 		}
 	}
-	return res, agg
+	return res, agg, dyns, fan
 }
 
-// stripResult clears the in-memory handle fields so Results from distinct
-// Sim instances compare with reflect.DeepEqual.
-func stripResult(r cpu.Result) cpu.Result {
-	r.Hier, r.BPU = nil, nil
-	return r
+// firstDiff returns the first index at which a and b differ element by
+// element (len of the shorter one when one is a prefix of the other), or -1
+// when they are equal.
+func firstDiff[T comparable](a, b []T) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
 }
 
 // TestMeasureStreamingEquivalence checks, for every app in the catalog and
 // both collect modes, that Measure produces exactly the Result and window
-// aggregates of the materialize-everything reference path.
+// aggregates of the materialize-everything reference path, and that
+// collect=true materializes exactly the reference window and fanouts.
 func TestMeasureStreamingEquivalence(t *testing.T) {
 	c := QuickContext()
 	c.WarmupArch = 2_000
@@ -77,10 +87,10 @@ func TestMeasureStreamingEquivalence(t *testing.T) {
 	for suite, apps := range Suites() {
 		for _, a := range apps {
 			p := c.Program(a)
-			wantRes, wantAgg := refMeasure(c, p, cpu.DefaultConfig())
+			wantRes, wantAgg, wantDyns, wantFan := refMeasure(c, p, cpu.DefaultConfig())
 			for _, collect := range []bool{false, true} {
 				m := c.Measure(p, cpu.DefaultConfig(), collect)
-				got, want := stripResult(m.Res), stripResult(wantRes)
+				got, want := m.Res, wantRes
 				if !collect {
 					// The reference always collects records to rebuild the
 					// aggregates; the streamed path only keeps them when
@@ -98,6 +108,14 @@ func TestMeasureStreamingEquivalence(t *testing.T) {
 				if collect {
 					if m.Dyns == nil || m.Fanouts == nil || m.Res.Records == nil {
 						t.Errorf("%s/%s: collect=true lost its materialized window", suite, a.Params.Name)
+					}
+					if k := firstDiff(m.Dyns, wantDyns); k >= 0 {
+						t.Errorf("%s/%s: collected Dyns differ from the reference window at %d (len %d, want %d)",
+							suite, a.Params.Name, k, len(m.Dyns), len(wantDyns))
+					}
+					if k := firstDiff(m.Fanouts, wantFan); k >= 0 {
+						t.Errorf("%s/%s: collected Fanouts differ from the reference window at %d (len %d, want %d)",
+							suite, a.Params.Name, k, len(m.Fanouts), len(wantFan))
 					}
 				} else if m.Dyns != nil || m.Fanouts != nil || m.Res.Records != nil {
 					t.Errorf("%s/%s: collect=false retained window slices", suite, a.Params.Name)

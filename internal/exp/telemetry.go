@@ -15,26 +15,26 @@ import (
 type Telemetry struct {
 	reg *telemetry.Registry
 
-	// Sim is shared by every simulator the context runs (Context.Measure
-	// attaches it to the cpu.Config after memo keys are computed, so
-	// telemetry never perturbs cache identity).
+	// Sim is shared by every simulator the context runs (the measurement
+	// build attaches it to each lane's cpu.Config after memo keys are
+	// computed, so telemetry never perturbs cache identity).
 	Sim *cpu.Metrics
 
 	// Pool instruments the per-app shard pool (Context.forEach).
 	Pool *sched.PoolMetrics
 
-	// MeasureSeconds observes the wall time of each uncached Measure call
-	// (trace generation + DFG + warm-up + measured simulation). A batched
-	// build observes once for the whole batch — the shared trace pass is
-	// the point of batching.
+	// MeasureSeconds observes the wall time of each uncached measurement
+	// build (trace generation + DFG + warm-up + measured simulation). A
+	// multi-lane build observes once for all its lanes — the shared trace
+	// pass is the point of batching.
 	MeasureSeconds *telemetry.Histogram
 
-	// BatchedMeasurements counts measurements produced by the batched sweep
-	// path (MeasureBatch cache misses built in lockstep).
+	// BatchedMeasurements counts measurements built as lanes of a
+	// multi-lane build (MeasureBatch cache misses built in lockstep).
 	BatchedMeasurements *telemetry.Counter
 
-	// BatchLanes observes the lane count of each batched build — how much
-	// trace-generation sharing the sweeps actually get.
+	// BatchLanes observes the lane count of each multi-lane build — how
+	// much trace-generation sharing the sweeps actually get.
 	BatchLanes *telemetry.Histogram
 }
 

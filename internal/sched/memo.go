@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"sync"
@@ -22,14 +23,20 @@ func KeyOf(parts ...any) Key {
 	if debugKeyChecks.Load() {
 		checkKeyParts(parts)
 	}
-	h := sha256.New()
+	b := keyBufs.Get().(*bytes.Buffer)
+	b.Reset()
 	for _, p := range parts {
-		fmt.Fprintf(h, "%#v\x00", p)
+		fmt.Fprintf(b, "%#v\x00", p)
 	}
-	var k Key
-	h.Sum(k[:0])
+	k := Key(sha256.Sum256(b.Bytes()))
+	keyBufs.Put(b)
 	return k
 }
+
+// keyBufs recycles KeyOf's rendering buffers: every memo lookup, hit or
+// miss, computes a key, so a warm cache would otherwise allocate a hasher
+// per hit.
+var keyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Stats are a memo cache's hit/miss counters. Skipped counts values that
 // were computed but not retained because the byte budget was exhausted;

@@ -49,6 +49,10 @@ func newJob(id string, req SubmitRequest) *job {
 func (j *job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+func (j *job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID:         j.id,
 		Kind:       j.req.Kind,
@@ -106,9 +110,12 @@ func (j *job) requestCancel() {
 
 // finish records a terminal state from the worker. A job whose cancellation
 // was requested lands in canceled regardless of how execution returned.
-func (j *job) finish(result []byte, errMsg string, retryable bool) {
+// account receives the terminal state while the job lock is still held, so
+// a reader that sees the job end also sees what account recorded for it.
+func (j *job) finish(result []byte, errMsg string, retryable bool, account func(JobState)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	defer func() { account(j.state) }() // runs before the unlock
 	if j.state.Terminal() {
 		return
 	}
@@ -145,9 +152,12 @@ func (j *job) failQueued(msg string) bool {
 	return true
 }
 
-// Result returns the marshaled result document of a succeeded job.
-func (j *job) Result() ([]byte, bool) {
+// Result snapshots the job's status together with its marshaled result
+// document (nil unless the job succeeded), under one lock: a job finishing
+// between two separate reads would otherwise look unfinished to the first
+// and succeeded to the second.
+func (j *job) Result() ([]byte, JobStatus) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.result, j.state == StateSucceeded
+	return j.result, j.statusLocked()
 }

@@ -306,15 +306,16 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		// may hit warm caches and finish in time.
 		retry = errors.Is(err, context.DeadlineExceeded)
 	}
-	j.finish(result, msg, retry)
+	j.finish(result, msg, retry, func(state JobState) {
+		outcome := string(state)
+		if panicked {
+			outcome = "panic"
+		}
+		s.metrics.outcomes(outcome).Inc()
+	})
 	s.finishJob(j, computeStart)
 
 	st := j.Status()
-	outcome := string(st.State)
-	if panicked {
-		outcome = "panic"
-	}
-	s.metrics.outcomes(outcome).Inc()
 	s.log.Info("job done", "id", j.id, "state", st.State, "err", msg,
 		"seconds", st.Duration().Seconds())
 }
@@ -588,13 +589,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	if res, ok := j.Result(); ok {
+	res, st := j.Result()
+	if st.State == StateSucceeded {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(res)
 		return
 	}
-	st := j.Status()
 	if st.State.Terminal() {
 		writeErr(w, http.StatusConflict,
 			fmt.Sprintf("job %s %s: %s", j.id, st.State, st.Error), st.Retryable)

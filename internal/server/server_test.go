@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -336,6 +337,41 @@ func TestCancel(t *testing.T) {
 	case app := <-started:
 		t.Errorf("canceled queued job still ran: %s", app)
 	default:
+	}
+}
+
+// TestResultWhileFinishing fetches results while their jobs finish: every
+// fetch answers 409 for a job still running or 200 with its document, never
+// a 409 naming a succeeded job.
+func TestResultWhileFinishing(t *testing.T) {
+	s, _ := start(t, stubConfig(echoStub))
+	h := s.Handler()
+	for n := 0; n < 200; n++ {
+		id := fmt.Sprintf("finishing-%d", n)
+		j := newJob(id, SubmitRequest{App: "maps"})
+		if !j.tryStart(func() {}) {
+			t.Fatalf("job %s did not start", id)
+		}
+		s.mu.Lock()
+		s.jobs[id] = j
+		s.mu.Unlock()
+
+		finished := make(chan struct{})
+		go func() {
+			defer close(finished)
+			j.finish([]byte(`{"kind":"optimize"}`), "", false, func(JobState) {})
+		}()
+		for {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/result", nil))
+			if rec.Code == http.StatusOK {
+				break
+			}
+			if body := rec.Body.String(); rec.Code != http.StatusConflict || strings.Contains(body, "job "+id+" succeeded") {
+				t.Fatalf("job %s: %d %s", id, rec.Code, body)
+			}
+		}
+		<-finished
 	}
 }
 

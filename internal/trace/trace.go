@@ -476,14 +476,12 @@ func DefaultSamplePlan() SamplePlan {
 }
 
 // Collect runs the plan against a fresh generator and returns the sampled
-// windows, fully materialized.
-//
-// Materializing whole windows is O(plan.Samples * plan.Length) memory and is
-// deprecated for non-test callers on the measurement hot path: profilers and
-// analyses that can consume the stream incrementally should pull chunks
-// through a Source (NewGenSource after Skip-ing to the window start) and run
-// in O(chunk) memory instead. Collect remains the right tool for fixtures
-// and for the profiler's random-access sample windows.
+// windows, fully materialized: O(plan.Samples * plan.Length) memory. It is
+// the profiler's sampler — core.BuildProfile shards chain extraction over
+// the materialized windows across the worker pool, one window per shard —
+// and the fleet devices' window source. Consumers that read a stream once,
+// in order, pull chunks through a Source (NewGenSource) in O(chunk) memory
+// instead.
 func Collect(p *prog.Program, seed int64, plan SamplePlan) []Window {
 	g := NewGenerator(p, seed)
 	g.Skip(plan.Warmup)
@@ -496,23 +494,4 @@ func Collect(p *prog.Program, seed int64, plan SamplePlan) []Window {
 		}
 	}
 	return ws
-}
-
-// Flatten concatenates windows into one stream (used by consumers that do
-// not care about window boundaries).
-//
-// Like Collect, Flatten materializes; it doubles the peak memory of the
-// windows it joins. Deprecated for non-test callers: stream consumers should
-// iterate the windows (or pull a Source) chunk by chunk instead of flattening
-// — see the chunked Source API in source.go.
-func Flatten(ws []Window) []Dyn {
-	n := 0
-	for _, w := range ws {
-		n += len(w.Dyns)
-	}
-	out := make([]Dyn, 0, n)
-	for _, w := range ws {
-		out = append(out, w.Dyns...)
-	}
-	return out
 }

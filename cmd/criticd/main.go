@@ -66,7 +66,7 @@ func main() {
 		addr         = flag.String("addr", ":9720", "listen address (host:port; port 0 picks one)")
 		queueSize    = flag.Int("queue", 64, "bounded job queue size (full queue refuses with 429)")
 		jobs         = flag.Int("jobs", 2, "jobs executing concurrently")
-		jobWorkers   = flag.Int("job-workers", 0, "per-job shard pool bound (0 = GOMAXPROCS)")
+		jobWorkers   = flag.Int("job-workers", 0, "daemon mode: per-job shard pool bound (0 = GOMAXPROCS)")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "default per-job deadline (requests may set their own)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "grace for in-flight jobs at shutdown")
 		profileQueue = flag.Int("profile-queue", 256, "bounded fleet profile-sketch ingest queue (full queue refuses POST /v1/profiles with 429)")
@@ -93,7 +93,7 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	if *worker {
-		runWorker(logger, *addr, *coordinator, *advertise, *artifactDir, *capacity, *jobWorkers, *failFirst, *drainTimeout)
+		runWorker(logger, *addr, *coordinator, *advertise, *artifactDir, *capacity, *failFirst, *drainTimeout)
 		return
 	}
 
@@ -215,7 +215,7 @@ func main() {
 // runWorker is criticd -worker: serve the dist task API, optionally announce
 // to a coordinator, and on SIGINT/SIGTERM deregister, finish in-flight tasks
 // and exit.
-func runWorker(logger *slog.Logger, addr, coordURL, advertise, artifactDir string, capacity, jobWorkers, failFirst int, drainTimeout time.Duration) {
+func runWorker(logger *slog.Logger, addr, coordURL, advertise, artifactDir string, capacity, failFirst int, drainTimeout time.Duration) {
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterBuildInfo(reg, "criticd-worker")
 	coordURL = strings.TrimRight(coordURL, "/")
@@ -232,7 +232,6 @@ func runWorker(logger *slog.Logger, addr, coordURL, advertise, artifactDir strin
 		}
 	}
 	wk := dist.NewWorker(dist.WorkerConfig{
-		Workers:        jobWorkers,
 		Capacity:       capacity,
 		Registry:       reg,
 		Logger:         logger,

@@ -14,7 +14,6 @@ import (
 	"critics/internal/core"
 	"critics/internal/cpu"
 	"critics/internal/exp"
-	"critics/internal/trace"
 	"critics/internal/workload"
 )
 
@@ -29,7 +28,6 @@ func main() {
 	ctx := exp.QuickContext()
 	p := ctx.Program(app)
 	base := ctx.Measure(p, cpu.DefaultConfig(), false)
-	ws := trace.Collect(p, app.Params.Seed, ctx.ProfilePlan)
 
 	fmt.Printf("design-space sweep for %s (baseline %d cycles)\n\n", *name, base.Res.Cycles)
 
@@ -38,7 +36,7 @@ func main() {
 	for _, th := range []float64{4, 6, 8, 10, 12} {
 		cfg := core.DefaultConfig()
 		cfg.AvgFanoutThreshold = th
-		prof := core.BuildProfile(p, ws, cfg)
+		prof := core.BuildProfile(p, app.Params.Seed, ctx.ProfilePlan, cfg)
 		q, _, err := compiler.ApplyCritIC(p, prof, compiler.Options{MaxLen: 5, Switch: compiler.SwitchCDP})
 		if err != nil {
 			log.Fatal(err)
@@ -53,7 +51,7 @@ func main() {
 	for _, ml := range []int{2, 3, 4, 5, 6, 8} {
 		cfg := core.DefaultConfig()
 		cfg.MaxLen = ml
-		prof := core.BuildProfile(p, ws, cfg)
+		prof := core.BuildProfile(p, app.Params.Seed, ctx.ProfilePlan, cfg)
 		q, _, err := compiler.ApplyCritIC(p, prof, compiler.Options{MaxLen: ml, Switch: compiler.SwitchCDP})
 		if err != nil {
 			log.Fatal(err)

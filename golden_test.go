@@ -1,11 +1,17 @@
 package critics
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"critics/internal/fleet"
+	"critics/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -68,4 +74,45 @@ func TestGoldenProfileJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "acrobat.profile.json", string(data)+"\n")
+}
+
+// TestGoldenCatalogProfiles pins the quick-plan profile of every catalog app,
+// real and ideal, as the SHA-256 of its JSON: the profiler's byte identity
+// across the whole catalog, not just the one profile pinned above.
+func TestGoldenCatalogProfiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profiles the whole catalog; skipped in -short")
+	}
+	ctx := NewSession(WithQuickScale()).Context()
+	var b strings.Builder
+	for _, set := range [][]workload.App{workload.MobileApps(), workload.SPECIntApps(), workload.SPECFloatApps()} {
+		for _, a := range set {
+			for _, ideal := range []bool{false, true} {
+				data, err := json.Marshal(ctx.Profile(a, ideal, 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&b, "%s ideal=%t %x\n", a.Params.Name, ideal, sha256.Sum256(data))
+			}
+		}
+	}
+	checkGolden(t, "catalog.profiles.sha256", b.String())
+}
+
+// TestGoldenDeviceSketches pins the wire bytes of fleet device sketches, as
+// SHA-256 digests, for two apps, two devices and the first two rounds.
+func TestGoldenDeviceSketches(t *testing.T) {
+	var b strings.Builder
+	for _, name := range []string{"acrobat", "maps"} {
+		a, ok := workload.FindApp(name)
+		if !ok {
+			t.Fatalf("unknown app %q", name)
+		}
+		for _, dev := range []string{"device-000", "device-001"} {
+			for round := 1; round <= 2; round++ {
+				fmt.Fprintf(&b, "%s %s round=%d %x\n", name, dev, round, sha256.Sum256(fleet.BuildDeviceSketch(a, dev, round).Encode()))
+			}
+		}
+	}
+	checkGolden(t, "device.sketches.sha256", b.String())
 }

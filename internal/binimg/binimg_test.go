@@ -100,8 +100,7 @@ func TestRoundTripWholeApps(t *testing.T) {
 		if err := VerifyRoundTrip(p); err != nil {
 			t.Fatalf("%s baseline: %v", name, err)
 		}
-		ws := trace.Collect(p, a.Params.Seed, trace.SamplePlan{Samples: 3, Length: 10_000, Gap: 3000, Warmup: 5000})
-		prof := core.BuildProfile(p, ws, core.DefaultConfig())
+		prof := core.BuildProfile(p, a.Params.Seed, trace.SamplePlan{Samples: 3, Length: 10_000, Gap: 3000, Warmup: 5000}, core.DefaultConfig())
 		q, _, err := compiler.ApplyCritIC(p, prof, compiler.Options{MaxLen: 5, Switch: compiler.SwitchCDP})
 		if err != nil {
 			t.Fatal(err)
@@ -149,8 +148,7 @@ func TestListing(t *testing.T) {
 func TestImageSmallerAfterCritIC(t *testing.T) {
 	a, _ := workload.FindApp("acrobat")
 	p := workload.Generate(a.Params)
-	ws := trace.Collect(p, a.Params.Seed, trace.SamplePlan{Samples: 3, Length: 10_000, Gap: 3000, Warmup: 5000})
-	prof := core.BuildProfile(p, ws, core.DefaultConfig())
+	prof := core.BuildProfile(p, a.Params.Seed, trace.SamplePlan{Samples: 3, Length: 10_000, Gap: 3000, Warmup: 5000}, core.DefaultConfig())
 	q, _, err := compiler.ApplyCritIC(p, prof, compiler.Options{MaxLen: 5, Switch: compiler.SwitchCDP})
 	if err != nil {
 		t.Fatal(err)

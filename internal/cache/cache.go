@@ -74,9 +74,6 @@ type Line struct {
 // Valid reports whether the line holds data.
 func (l *Line) Valid() bool { return l.valid }
 
-// ReadyAt returns the cycle the line's fill completes (partial-hit floor).
-func (l *Line) ReadyAt() int64 { return l.readyAt }
-
 // Cache is one set-associative cache with a pluggable replacement policy.
 type Cache struct {
 	cfg   Config

@@ -12,24 +12,26 @@ import (
 	"critics/internal/workload"
 )
 
+// appPlan is the sampling plan the compiler tests profile apps under.
+var appPlan = trace.SamplePlan{Samples: 10, Length: 25_000, Gap: 5000, Warmup: 5000}
+
 // profiledApp generates an app, samples it, and builds its profile.
-func profiledApp(t *testing.T, name string) (*prog.Program, *core.Profile, []trace.Window) {
+func profiledApp(t *testing.T, name string) (*prog.Program, *core.Profile) {
 	t.Helper()
 	a, ok := workload.FindApp(name)
 	if !ok {
 		t.Fatalf("no app %s", name)
 	}
 	p := workload.Generate(a.Params)
-	ws := trace.Collect(p, a.Params.Seed, trace.SamplePlan{Samples: 10, Length: 25_000, Gap: 5000, Warmup: 5000})
-	prof := core.BuildProfile(p, ws, core.DefaultConfig())
+	prof := core.BuildProfile(p, a.Params.Seed, appPlan, core.DefaultConfig())
 	if len(prof.Selected()) == 0 {
 		t.Fatal("profile selected no chains")
 	}
-	return p, prof, ws
+	return p, prof
 }
 
 func TestCritICPassTransforms(t *testing.T) {
-	p, prof, _ := profiledApp(t, "acrobat")
+	p, prof := profiledApp(t, "acrobat")
 	q, st, err := ApplyCritIC(p, prof, Options{MaxLen: 5, Switch: SwitchCDP})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +59,7 @@ func TestCritICPassTransforms(t *testing.T) {
 }
 
 func TestCritICChainsContiguousAndTagged(t *testing.T) {
-	p, prof, _ := profiledApp(t, "maps")
+	p, prof := profiledApp(t, "maps")
 	q, _, err := ApplyCritIC(p, prof, Options{MaxLen: 5, Switch: SwitchCDP})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +101,7 @@ func TestCritICPreservesDependences(t *testing.T) {
 	// hoisting broke a dependence the consumer would read a different
 	// producer. We verify a weaker but meaningful invariant: per block,
 	// the multiset of instructions is preserved.
-	p, prof, _ := profiledApp(t, "office")
+	p, prof := profiledApp(t, "office")
 	q, _, err := ApplyCritIC(p, prof, Options{MaxLen: 5, Switch: SwitchCDP})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +129,7 @@ func TestCritICPreservesDependences(t *testing.T) {
 }
 
 func TestHoistOnlyKeepsA32(t *testing.T) {
-	p, prof, _ := profiledApp(t, "email")
+	p, prof := profiledApp(t, "email")
 	q, st, err := ApplyCritIC(p, prof, Options{MaxLen: 5, HoistOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +144,7 @@ func TestHoistOnlyKeepsA32(t *testing.T) {
 }
 
 func TestBranchSwitchInsertsBranches(t *testing.T) {
-	p, prof, _ := profiledApp(t, "browser")
+	p, prof := profiledApp(t, "browser")
 	q, st, err := ApplyCritIC(p, prof, Options{MaxLen: 5, Switch: SwitchBranch})
 	if err != nil {
 		t.Fatal(err)
@@ -166,10 +168,9 @@ func TestBranchSwitchInsertsBranches(t *testing.T) {
 func TestIdealConvertsMore(t *testing.T) {
 	a, _ := workload.FindApp("acrobat")
 	p := workload.Generate(a.Params)
-	ws := trace.Collect(p, a.Params.Seed, trace.SamplePlan{Samples: 10, Length: 25_000, Gap: 5000, Warmup: 5000})
 	cfg := core.DefaultConfig()
 	cfg.RequireThumb = false
-	prof := core.BuildProfile(p, ws, cfg)
+	prof := core.BuildProfile(p, a.Params.Seed, appPlan, cfg)
 
 	real := Options{MaxLen: 5, Switch: SwitchCDP}
 	ideal := Options{MaxLen: core.MaxChainLen, Switch: SwitchCDP, Ideal: true}
@@ -236,7 +237,7 @@ func TestOPP16AndCompress(t *testing.T) {
 func TestCritICConvertsFewerThanOPP16(t *testing.T) {
 	// Fig. 13b: CritIC converts far fewer instructions than the
 	// criticality-agnostic schemes.
-	p, prof, _ := profiledApp(t, "acrobat")
+	p, prof := profiledApp(t, "acrobat")
 	_, stCrit, err := ApplyCritIC(p, prof, Options{MaxLen: 5, Switch: SwitchCDP})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +265,7 @@ func TestCritICConvertsFewerThanOPP16(t *testing.T) {
 func TestCritICSpeedsUpApp(t *testing.T) {
 	// The end-to-end smoke test of the whole reproduction: profile,
 	// transform, re-trace, simulate, and require a real speedup.
-	p, prof, _ := profiledApp(t, "acrobat")
+	p, prof := profiledApp(t, "acrobat")
 	q, _, err := ApplyCritIC(p, prof, Options{MaxLen: 5, Switch: SwitchCDP})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -29,7 +28,6 @@ import (
 	"critics/internal/dfg"
 	"critics/internal/encoding"
 	"critics/internal/prog"
-	"critics/internal/sched"
 	"critics/internal/stats"
 	"critics/internal/trace"
 )
@@ -69,19 +67,6 @@ type Config struct {
 	// during *selection*. The CritIC.Ideal configuration keeps them
 	// (hypothetically converting everything, Fig. 5b / §IV-D).
 	RequireThumb bool
-
-	// Workers bounds the worker pool used to extract chains from the
-	// profiled windows in parallel. 0 or 1 keeps the serial reference
-	// schedule. The profile is bit-identical for every value: windows are
-	// extracted independently and merged in window index order.
-	Workers int
-
-	// Ctx, when non-nil, lets callers cancel profiling: window extraction
-	// stops dispatching once the context is done. A profile built under a
-	// cancelled context is partial — callers must check the context and
-	// discard it (internal/exp does, and never retains such builds in its
-	// memo caches).
-	Ctx context.Context
 }
 
 // DefaultConfig returns the paper's operating point.
@@ -157,14 +142,21 @@ func (p *Profile) Selected() []Entry {
 	return out
 }
 
-// BuildProfile profiles the windows of program pr and returns the CritIC
-// profile under cfg.
-func BuildProfile(pr *prog.Program, windows []trace.Window, cfg Config) *Profile {
+// BuildProfile profiles program pr over the windows plan samples from its
+// execution under seed and returns the CritIC profile under cfg. Each window
+// streams through chain extraction one cfg.ChunkSize chunk at a time as it is
+// generated, so memory is O(chunk) whatever the plan; chunks are extracted
+// and aggregated serially in stream order, which fixes the float
+// accumulation order of every fanout sum.
+func BuildProfile(pr *prog.Program, seed int64, plan trace.SamplePlan, cfg Config) *Profile {
 	if cfg.MaxLen <= 0 || cfg.MaxLen > MaxChainLen {
 		cfg.MaxLen = MaxChainLen
 	}
 	if cfg.MinLen < 2 {
 		cfg.MinLen = 2
+	}
+	if cfg.ChunkSize <= 0 {
+		cfg.ChunkSize = dfg.DefaultOptions().ChunkSize
 	}
 	type acc struct {
 		count     int64
@@ -180,39 +172,31 @@ func BuildProfile(pr *prog.Program, windows []trace.Window, cfg Config) *Profile
 		MaxLen:       cfg.MaxLen,
 		MinLen:       cfg.MinLen,
 	}
-	// Chain extraction is independent per window, so it is sharded over the
-	// worker pool; the order-sensitive reduction below (map updates and
-	// float accumulation into fanoutSum) runs serially in window index
-	// order, keeping the profile bit-identical for every worker count.
-	perWindow := make([][]dfg.Chain, len(windows))
-	pool := sched.NewPool(max(cfg.Workers, 1)).Named("profile")
-	if cfg.Ctx != nil {
-		pool.WithContext(cfg.Ctx)
-	}
-	pool.Map(len(windows), func(i int) {
-		perWindow[i] = dfg.Extract(windows[i].Dyns, opt)
-	})
-	for wi, w := range windows {
-		totalDyn += int64(len(w.Dyns))
-		chains := perWindow[wi]
-		for i := range chains {
-			c := &chains[i]
-			if c.AvgFanout() < cfg.AvgFanoutThreshold {
-				continue
+	// Source chunks are exactly cfg.ChunkSize long, so each one is a single
+	// extraction chunk: the boundaries Extract would cut a whole window at.
+	trace.Sample(pr, seed, plan, cfg.ChunkSize, func(src trace.Source) {
+		for dyns := src.NextChunk(); len(dyns) > 0; dyns = src.NextChunk() {
+			totalDyn += int64(len(dyns))
+			chains := dfg.Extract(dyns, opt)
+			for i := range chains {
+				c := &chains[i]
+				if c.AvgFanout() < cfg.AvgFanoutThreshold {
+					continue
+				}
+				key, ok := keyOf(dyns, c)
+				if !ok {
+					continue
+				}
+				a := agg[key]
+				if a == nil {
+					a = &acc{}
+					agg[key] = a
+				}
+				a.count++
+				a.fanoutSum += c.AvgFanout()
 			}
-			key, ok := keyOf(w.Dyns, c)
-			if !ok {
-				continue
-			}
-			a := agg[key]
-			if a == nil {
-				a = &acc{}
-				agg[key] = a
-			}
-			a.count++
-			a.fanoutSum += c.AvgFanout()
 		}
-	}
+	})
 
 	p := &Profile{App: pr.Name, TotalDyn: totalDyn}
 	for key, a := range agg {

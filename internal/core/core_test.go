@@ -9,20 +9,21 @@ import (
 	"critics/internal/workload"
 )
 
-func appWindows(t *testing.T, name string, n, length int) (*prog.Program, []trace.Window) {
+// sampledApp generates an app and returns it with its trace seed and a plan
+// of n windows of the given length.
+func sampledApp(t *testing.T, name string, n, length int) (*prog.Program, int64, trace.SamplePlan) {
 	t.Helper()
 	a, ok := workload.FindApp(name)
 	if !ok {
 		t.Fatalf("app %s not in catalog", name)
 	}
 	p := workload.Generate(a.Params)
-	ws := trace.Collect(p, a.Params.Seed, trace.SamplePlan{Samples: n, Length: length, Gap: 2000, Warmup: 5000})
-	return p, ws
+	return p, a.Params.Seed, trace.SamplePlan{Samples: n, Length: length, Gap: 2000, Warmup: 5000}
 }
 
 func TestBuildProfileFindsChains(t *testing.T) {
-	p, ws := appWindows(t, "acrobat", 5, 10_000)
-	prof := BuildProfile(p, ws, DefaultConfig())
+	p, seed, plan := sampledApp(t, "acrobat", 5, 10_000)
+	prof := BuildProfile(p, seed, plan, DefaultConfig())
 	if prof.TotalDyn != 50_000 {
 		t.Errorf("TotalDyn = %d", prof.TotalDyn)
 	}
@@ -50,9 +51,9 @@ func TestBuildProfileFindsChains(t *testing.T) {
 }
 
 func TestProfileDeterministic(t *testing.T) {
-	p, ws := appWindows(t, "maps", 3, 8_000)
-	a := BuildProfile(p, ws, DefaultConfig())
-	b := BuildProfile(p, ws, DefaultConfig())
+	p, seed, plan := sampledApp(t, "maps", 3, 8_000)
+	a := BuildProfile(p, seed, plan, DefaultConfig())
+	b := BuildProfile(p, seed, plan, DefaultConfig())
 	if len(a.Entries) != len(b.Entries) {
 		t.Fatal("entry counts differ")
 	}
@@ -64,8 +65,8 @@ func TestProfileDeterministic(t *testing.T) {
 }
 
 func TestSelectionNoOverlap(t *testing.T) {
-	p, ws := appWindows(t, "office", 4, 10_000)
-	prof := BuildProfile(p, ws, DefaultConfig())
+	p, seed, plan := sampledApp(t, "office", 4, 10_000)
+	prof := BuildProfile(p, seed, plan, DefaultConfig())
 	used := map[[3]int]bool{}
 	for _, e := range prof.Selected() {
 		for i := uint8(0); i < e.Key.N; i++ {
@@ -79,8 +80,8 @@ func TestSelectionNoOverlap(t *testing.T) {
 }
 
 func TestSelectionRankedByCoverage(t *testing.T) {
-	p, ws := appWindows(t, "email", 4, 10_000)
-	prof := BuildProfile(p, ws, DefaultConfig())
+	p, seed, plan := sampledApp(t, "email", 4, 10_000)
+	prof := BuildProfile(p, seed, plan, DefaultConfig())
 	for i := 1; i < len(prof.Entries); i++ {
 		if prof.Entries[i-1].DynInstrs() < prof.Entries[i].DynInstrs() {
 			t.Fatal("entries not ranked by dynamic coverage")
@@ -91,8 +92,8 @@ func TestSelectionRankedByCoverage(t *testing.T) {
 func TestThumbRepresentableFracHigh(t *testing.T) {
 	// The paper reports ~95.5% of unique CritIC sequences representable;
 	// our generator poisons ~5% of chains.
-	p, ws := appWindows(t, "acrobat", 5, 10_000)
-	prof := BuildProfile(p, ws, DefaultConfig())
+	p, seed, plan := sampledApp(t, "acrobat", 5, 10_000)
+	prof := BuildProfile(p, seed, plan, DefaultConfig())
 	frac := prof.ThumbRepresentableFrac()
 	if frac < 0.80 || frac > 1.0 {
 		t.Errorf("Thumb-representable fraction %.3f; expected close to 0.955", frac)
@@ -100,10 +101,10 @@ func TestThumbRepresentableFracHigh(t *testing.T) {
 }
 
 func TestRequireThumbFiltering(t *testing.T) {
-	p, ws := appWindows(t, "browser", 4, 10_000)
+	p, seed, plan := sampledApp(t, "browser", 4, 10_000)
 	cfg := DefaultConfig()
 	cfg.RequireThumb = false
-	ideal := BuildProfile(p, ws, cfg)
+	ideal := BuildProfile(p, seed, plan, cfg)
 	nonThumbSelected := 0
 	for _, e := range ideal.Selected() {
 		if !e.ThumbOK {
@@ -114,17 +115,17 @@ func TestRequireThumbFiltering(t *testing.T) {
 	// profile must not (checked in TestBuildProfileFindsChains). Here we
 	// only require that relaxing the constraint never reduces coverage.
 	cfg.RequireThumb = true
-	real := BuildProfile(p, ws, cfg)
+	real := BuildProfile(p, seed, plan, cfg)
 	if ideal.SelectedCoverage < real.SelectedCoverage {
 		t.Errorf("ideal coverage %.4f < constrained %.4f", ideal.SelectedCoverage, real.SelectedCoverage)
 	}
 }
 
 func TestMaxLenCap(t *testing.T) {
-	p, ws := appWindows(t, "maps", 3, 8_000)
+	p, seed, plan := sampledApp(t, "maps", 3, 8_000)
 	cfg := DefaultConfig()
 	cfg.MaxLen = 3
-	prof := BuildProfile(p, ws, cfg)
+	prof := BuildProfile(p, seed, plan, cfg)
 	for _, e := range prof.Entries {
 		if e.Length > 3 {
 			t.Fatalf("entry length %d exceeds cap", e.Length)
@@ -133,8 +134,8 @@ func TestMaxLenCap(t *testing.T) {
 }
 
 func TestCoverageCDF(t *testing.T) {
-	p, ws := appWindows(t, "acrobat", 4, 10_000)
-	prof := BuildProfile(p, ws, DefaultConfig())
+	p, seed, plan := sampledApp(t, "acrobat", 4, 10_000)
+	prof := BuildProfile(p, seed, plan, DefaultConfig())
 	all, thumb := prof.CoverageCDF()
 	if all.At(float64(prof.UniqueChains())) != 1.0 {
 		t.Error("full CDF does not reach 1")
@@ -147,8 +148,8 @@ func TestCoverageCDF(t *testing.T) {
 }
 
 func TestProfileJSONRoundTrip(t *testing.T) {
-	p, ws := appWindows(t, "music", 3, 6_000)
-	prof := BuildProfile(p, ws, DefaultConfig())
+	p, seed, plan := sampledApp(t, "music", 3, 6_000)
+	prof := BuildProfile(p, seed, plan, DefaultConfig())
 	data, err := json.Marshal(prof)
 	if err != nil {
 		t.Fatal(err)
@@ -176,9 +177,10 @@ func TestChainKeyString(t *testing.T) {
 
 func TestProfilingSubsetReducesCoverage(t *testing.T) {
 	// Fig. 12b mechanism: profiling fewer windows finds fewer chains.
-	p, ws := appWindows(t, "acrobat", 8, 8_000)
-	full := BuildProfile(p, ws, DefaultConfig())
-	part := BuildProfile(p, ws[:2], DefaultConfig())
+	p, seed, plan := sampledApp(t, "acrobat", 8, 8_000)
+	full := BuildProfile(p, seed, plan, DefaultConfig())
+	plan.Samples = 2
+	part := BuildProfile(p, seed, plan, DefaultConfig())
 	if part.UniqueChains() > full.UniqueChains() {
 		t.Errorf("subset found more chains (%d) than full (%d)", part.UniqueChains(), full.UniqueChains())
 	}

@@ -63,10 +63,10 @@ func TestDistributedDeterminism(t *testing.T) {
 			}
 
 			// A healthy worker and one that dies after 3 tasks.
-			w1 := NewWorker(WorkerConfig{Workers: 2})
+			w1 := NewWorker(WorkerConfig{})
 			srv1 := httptest.NewServer(w1.Handler())
 			defer srv1.Close()
-			w2 := NewWorker(WorkerConfig{Workers: 2})
+			w2 := NewWorker(WorkerConfig{})
 			srv2 := httptest.NewServer(&failAfterN{h: w2.Handler(), n: 3})
 			defer srv2.Close()
 

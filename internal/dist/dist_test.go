@@ -293,6 +293,12 @@ func TestWorkerDrainAndReadiness(t *testing.T) {
 	check("/healthz", http.StatusOK)
 	check("/readyz", http.StatusOK)
 
+	// A busy worker stays ready: the coordinator keeps more tasks in flight
+	// than the fleet has slots, and excess tasks wait for a slot.
+	wk.slots <- struct{}{}
+	check("/readyz", http.StatusOK)
+	<-wk.slots
+
 	wk.Drain()
 	check("/healthz", http.StatusOK) // alive, just not accepting
 	check("/readyz", http.StatusServiceUnavailable)

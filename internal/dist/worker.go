@@ -30,13 +30,10 @@ type WorkerConfig struct {
 	// for the same app reuse programs/profiles/variants. nil creates one.
 	Caches *exp.Caches
 
-	// Workers bounds each task's internal shard pool (per-window profile
-	// extraction); 0 selects GOMAXPROCS.
-	Workers int
-
 	// Capacity is how many tasks execute concurrently; excess requests wait
-	// (the coordinator's per-attempt timeout governs). /readyz reports 503
-	// while all slots are busy. Default GOMAXPROCS.
+	// for a slot (the coordinator's per-attempt timeout governs). A busy
+	// worker stays ready: /readyz answers 503 only while draining. Default
+	// GOMAXPROCS.
 	Capacity int
 
 	// Registry receives the worker's metric families; nil disables them.
@@ -123,10 +120,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // Capacity returns the worker's concurrent-task bound.
 func (w *Worker) Capacity() int { return w.cfg.Capacity }
 
-// Saturated reports whether every task slot is busy — the /readyz
-// queue-not-saturated condition.
-func (w *Worker) Saturated() bool { return len(w.slots) >= cap(w.slots) }
-
 // Drain refuses new tasks (POST /dist/v1/task answers 503, /readyz flips to
 // 503 so heartbeats stop routing here) and waits for in-flight ones. Safe to
 // call more than once.
@@ -144,14 +137,11 @@ func (w *Worker) Handler() http.Handler {
 		writeJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /readyz", func(rw http.ResponseWriter, _ *http.Request) {
-		switch {
-		case w.draining.Load():
+		if w.draining.Load() {
 			writeJSON(rw, http.StatusServiceUnavailable, errorBody{Error: "draining"})
-		case w.Saturated():
-			writeJSON(rw, http.StatusServiceUnavailable, errorBody{Error: "all task slots busy"})
-		default:
-			writeJSON(rw, http.StatusOK, map[string]string{"status": "ready"})
+			return
 		}
+		writeJSON(rw, http.StatusOK, map[string]string{"status": "ready"})
 	})
 	return mux
 }
@@ -266,7 +256,7 @@ func (w *Worker) execute(ctx context.Context, task Task) (m *exp.Measurement, er
 			m, err = nil, fmt.Errorf("%w: %v", errBadTask, p)
 		}
 	}()
-	return exp.ExecuteMeasure(ctx, task.Req, w.cfg.Caches, w.cfg.Workers)
+	return exp.ExecuteMeasure(ctx, task.Req, w.cfg.Caches)
 }
 
 // executeScan scores one scan batch. Both inputs arrive by digest: whatever

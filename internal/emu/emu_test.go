@@ -193,8 +193,7 @@ func TestCritICPassPreservesSemantics(t *testing.T) {
 	for _, name := range []string{"acrobat", "maps", "music"} {
 		a, _ := workload.FindApp(name)
 		p := workload.Generate(a.Params)
-		ws := trace.Collect(p, a.Params.Seed, trace.SamplePlan{Samples: 4, Length: 10_000, Gap: 3000, Warmup: 5000})
-		prof := core.BuildProfile(p, ws, core.DefaultConfig())
+		prof := core.BuildProfile(p, a.Params.Seed, trace.SamplePlan{Samples: 4, Length: 10_000, Gap: 3000, Warmup: 5000}, core.DefaultConfig())
 		for _, opt := range []compiler.Options{
 			{MaxLen: 5, Switch: compiler.SwitchCDP},
 			{MaxLen: 5, Switch: compiler.SwitchBranch},

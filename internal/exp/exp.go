@@ -230,26 +230,18 @@ func (c *Context) Program(a workload.App) *prog.Program {
 // Profile returns (and caches) the CritIC profile for an app. ideal relaxes
 // the all-or-nothing representability requirement during selection
 // (CritIC.Ideal). windowsFrac < 1 profiles only the leading fraction of the
-// sampled windows (Fig. 12b). Per-window chain extraction is sharded over
-// the context's worker pool (internal/core merges windows in index order,
-// so the profile is identical for every worker count).
+// sampled windows (Fig. 12b): a plan with proportionally fewer samples,
+// rounded to nearest and at least one.
 func (c *Context) Profile(a workload.App, ideal bool, windowsFrac float64) *core.Profile {
 	key := sched.KeyOf("prof", a.Params, ideal, windowsFrac, c.ProfilePlan)
 	return memoGet(c, c.caches.profs, "profile "+a.Params.Name, key, func() *core.Profile {
-		p := c.Program(a)
-		ws := trace.Collect(p, a.Params.Seed, c.ProfilePlan)
+		plan := c.ProfilePlan
 		if windowsFrac > 0 && windowsFrac < 1 {
-			n := int(float64(len(ws))*windowsFrac + 0.5)
-			if n < 1 {
-				n = 1
-			}
-			ws = ws[:n]
+			plan.Samples = max(int(float64(plan.Samples)*windowsFrac+0.5), 1)
 		}
 		cfg := core.DefaultConfig()
 		cfg.RequireThumb = !ideal
-		cfg.Workers = c.workers()
-		cfg.Ctx = c.runCtx
-		return core.BuildProfile(p, ws, cfg)
+		return core.BuildProfile(c.Program(a), a.Params.Seed, plan, cfg)
 	}, nil)
 }
 
@@ -586,12 +578,11 @@ type Remote interface {
 }
 
 // ExecuteMeasure runs one measurement request against the given cache bundle
-// — the worker side of distributed execution. workers bounds the request's
-// internal shard pool (per-window profile extraction); 0 selects GOMAXPROCS.
-// caches == nil builds against a private throwaway bundle. A ctx cancelled
-// mid-build aborts the request, and (per the memo validity contract) the
-// partial artifacts are not retained.
-func ExecuteMeasure(ctx context.Context, req MeasureRequest, caches *Caches, workers int) (m *Measurement, err error) {
+// — the worker side of distributed execution. caches == nil builds against a
+// private throwaway bundle. A ctx cancelled mid-build aborts the request,
+// and (per the memo validity contract) the partial artifacts are not
+// retained.
+func ExecuteMeasure(ctx context.Context, req MeasureRequest, caches *Caches) (m *Measurement, err error) {
 	if caches == nil {
 		caches = NewCaches()
 	}
@@ -608,7 +599,6 @@ func ExecuteMeasure(ctx context.Context, req MeasureRequest, caches *Caches, wor
 		MeasureArch: req.MeasureArch,
 		ProfilePlan: req.ProfilePlan,
 		HighFanout:  req.HighFanout,
-		Workers:     workers,
 		caches:      caches,
 	}
 	if ctx != nil {

@@ -168,7 +168,7 @@ func TestExecuteMeasureRejectsInvalidConfig(t *testing.T) {
 		ProfilePlan: c.ProfilePlan,
 		HighFanout:  c.HighFanout,
 	}
-	if _, err := ExecuteMeasure(context.Background(), req, nil, 1); err == nil {
+	if _, err := ExecuteMeasure(context.Background(), req, nil); err == nil {
 		t.Fatal("zero-way L1I accepted by ExecuteMeasure")
 	} else if !strings.Contains(err.Error(), "L1I") {
 		t.Errorf("error %q does not name the offending level", err)
@@ -176,7 +176,7 @@ func TestExecuteMeasureRejectsInvalidConfig(t *testing.T) {
 	unknown := cpu.DefaultConfig()
 	unknown.Hier.L1I.Policy = "plru"
 	req.Config = unknown
-	if _, err := ExecuteMeasure(context.Background(), req, nil, 1); err == nil {
+	if _, err := ExecuteMeasure(context.Background(), req, nil); err == nil {
 		t.Fatal("unknown policy accepted by ExecuteMeasure")
 	}
 }

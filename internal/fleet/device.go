@@ -39,33 +39,33 @@ func deviceSeed(a workload.App, deviceID string) int64 {
 // round).
 func BuildDeviceSketch(a workload.App, deviceID string, round int) *sketch.Sketch {
 	p := workload.Generate(a.Params)
-	ws := trace.Collect(p, deviceSeed(a, deviceID), DevicePlan(round))
+	seed, plan := deviceSeed(a, deviceID), DevicePlan(round)
 
 	cfg := core.DefaultConfig()
 	cfg.CoverageTarget = 0 // keep every candidate: selection happens at the coordinator
 	cfg.MaxEntries = 0
-	prof := core.BuildProfile(p, ws, cfg)
+	prof := core.BuildProfile(p, seed, plan, cfg)
 
 	s := sketch.New(a.Params.Name)
 	s.AddProfile(prof)
 	s.AddDevice(deviceID)
 
-	// Fanout histogram and stall attribution over the same windows. Both
-	// accumulate across the plan's windows; prefix-stable sampling keeps
-	// them monotone in round.
+	// Fanout histogram and stall attribution over a second pass of the same
+	// windows: each streams its online fanouts into the micro simulation,
+	// whose commit observer folds both. Both accumulate across the plan's
+	// windows; prefix-stable sampling keeps them monotone in round.
 	var fan [sketch.FanoutBuckets]uint64
 	var bkd cpu.Breakdown
 	sim := cpu.New(cpu.DefaultConfig())
-	sim.OnCommit(func(_ *trace.Dyn, _ int32, r *cpu.Record) {
+	sim.OnCommit(func(_ *trace.Dyn, f int32, r *cpu.Record) {
+		fan[sketch.FanoutBucket(f)]++
 		bkd.Add(cpu.BreakdownOf(r))
 	})
-	for _, w := range ws {
-		fans := dfg.Fanouts(w.Dyns, cfg.FanoutWindow)
-		for _, f := range fans {
-			fan[sketch.FanoutBucket(f)]++
-		}
-		sim.Run(w.Dyns, fans)
-	}
+	var fs dfg.FanoutStream
+	trace.Sample(p, seed, plan, 0, func(src trace.Source) {
+		fs.Reset(src, cfg.FanoutWindow)
+		sim.RunStream(&fs)
+	})
 	s.AddFanout(fan[:])
 	s.AddStall(bkd)
 	return s

@@ -14,8 +14,7 @@ func testApp(t *testing.T) (*prog.Program, *core.Profile) {
 	t.Helper()
 	apps := workload.MobileApps()
 	p := workload.Generate(apps[0].Params)
-	ws := trace.Collect(p, apps[0].Params.Seed, trace.SamplePlan{Samples: 4, Length: 8000, Gap: 2000, Warmup: 5000})
-	return p, core.BuildProfile(p, ws, core.DefaultConfig())
+	return p, core.BuildProfile(p, apps[0].Params.Seed, trace.SamplePlan{Samples: 4, Length: 8000, Gap: 2000, Warmup: 5000}, core.DefaultConfig())
 }
 
 func isPermutation(order []int, n int) bool {

@@ -517,43 +517,6 @@ func ApplyReorder(b *Block, perm []int) {
 	b.Instrs = out
 }
 
-// FuncOf returns the function containing addr, or -1 if none. Valid after
-// Layout. Linear scan; used only in tests and diagnostics.
-func (p *Program) FuncOf(addr uint32) int {
-	for _, f := range p.Funcs {
-		if len(f.Blocks) == 0 {
-			continue
-		}
-		first := firstInstr(f)
-		last := lastInstr(f)
-		if first == nil || last == nil {
-			continue
-		}
-		if addr >= first.Addr && addr <= last.Addr {
-			return f.ID
-		}
-	}
-	return -1
-}
-
-func firstInstr(f *Func) *Instr {
-	for _, b := range f.Blocks {
-		if len(b.Instrs) > 0 {
-			return &b.Instrs[0]
-		}
-	}
-	return nil
-}
-
-func lastInstr(f *Func) *Instr {
-	for i := len(f.Blocks) - 1; i >= 0; i-- {
-		if n := len(f.Blocks[i].Instrs); n > 0 {
-			return &f.Blocks[i].Instrs[n-1]
-		}
-	}
-	return nil
-}
-
 // Stats summarizes a program for reports and tests.
 type Stats struct {
 	Funcs        int

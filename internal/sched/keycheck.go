@@ -33,9 +33,6 @@ func init() {
 // of surfacing later as a nondeterministic cache.
 func EnableKeyChecks(on bool) { debugKeyChecks.Store(on) }
 
-// KeyChecksEnabled reports whether the assertion is active.
-func KeyChecksEnabled() bool { return debugKeyChecks.Load() }
-
 // AssertKeyable reports whether v may appear in a KeyOf part: only plain
 // data — booleans, integers, floats, complex numbers, strings, and arrays
 // and structs thereof — is keyable. Maps, slices, channels, funcs and

@@ -79,7 +79,7 @@ func TestDistributedJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real pipeline")
 	}
-	wk := dist.NewWorker(dist.WorkerConfig{Workers: 2})
+	wk := dist.NewWorker(dist.WorkerConfig{})
 	wsrv := httptest.NewServer(wk.Handler())
 	defer wsrv.Close()
 
@@ -135,10 +135,10 @@ func TestDistributedTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real pipeline")
 	}
-	bad := dist.NewWorker(dist.WorkerConfig{Workers: 2, FailFirstTasks: 1})
+	bad := dist.NewWorker(dist.WorkerConfig{FailFirstTasks: 1})
 	badSrv := httptest.NewServer(bad.Handler())
 	defer badSrv.Close()
-	good := dist.NewWorker(dist.WorkerConfig{Workers: 2})
+	good := dist.NewWorker(dist.WorkerConfig{})
 	goodSrv := httptest.NewServer(good.Handler())
 	defer goodSrv.Close()
 

@@ -222,12 +222,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	}
 }
 
-// BucketExemplar returns bucket i's exemplar (i == len(bounds) is the +Inf
-// bucket); nil when none was recorded.
-func (h *Histogram) BucketExemplar(i int) *Exemplar {
-	return h.exemplars[i].Load()
-}
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() int64 {
 	var n int64

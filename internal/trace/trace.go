@@ -454,44 +454,37 @@ func funcAddr(p *prog.Program, fi int) uint32 {
 	return blockAddr(f, 0)
 }
 
-// Window is one sampled window of the dynamic stream.
-type Window struct {
-	Dyns []Dyn
-}
-
 // SamplePlan describes how app execution is sampled, mirroring the paper's
 // methodology (§IV-C): "100 samples at random, each containing ~500k
 // contiguous instructions". Scaled-down plans are used in tests/benches.
+//
+// Windows are sized in architectural instructions (a GenSource per window),
+// while the warm-up and the gaps skip dynamic instructions. On an
+// uncompiled program, the only kind the profiler and the fleet devices
+// sample, the two counts agree: such programs carry no CDPs, mode-switch
+// branches or Expanded helpers, so every dynamic instruction is
+// architectural.
 type SamplePlan struct {
 	Samples int // number of windows
-	Length  int // dynamic instructions per window
-	Gap     int // instructions skipped between windows (pseudo-random spacing uses Gap as mean)
-	Warmup  int // instructions skipped before the first window
+	Length  int // architectural instructions per window
+	Gap     int // dynamic instructions skipped between windows
+	Warmup  int // dynamic instructions skipped before the first window
 }
 
-// DefaultSamplePlan mirrors the paper at reduced scale: the shapes stabilize
-// well below 500k-instruction windows for synthetic workloads.
-func DefaultSamplePlan() SamplePlan {
-	return SamplePlan{Samples: 10, Length: 20_000, Gap: 10_000, Warmup: 5_000}
-}
-
-// Collect runs the plan against a fresh generator and returns the sampled
-// windows, fully materialized: O(plan.Samples * plan.Length) memory. It is
-// the profiler's sampler — core.BuildProfile shards chain extraction over
-// the materialized windows across the worker pool, one window per shard —
-// and the fleet devices' window source. Consumers that read a stream once,
-// in order, pull chunks through a Source (NewGenSource) in O(chunk) memory
-// instead.
-func Collect(p *prog.Program, seed int64, plan SamplePlan) []Window {
+// Sample runs plan against a fresh generator for p and calls window once per
+// sampled window, in order, with a Source over that window's chunks of the
+// given size (DefaultChunk if <= 0). Memory is O(chunk) whatever the plan:
+// the profiler and the fleet devices consume each window as it is
+// generated. Whatever of a window the callback leaves unread is skipped, so
+// later windows start where the plan puts them.
+func Sample(p *prog.Program, seed int64, plan SamplePlan, chunk int, window func(Source)) {
 	g := NewGenerator(p, seed)
 	g.Skip(plan.Warmup)
-	ws := make([]Window, 0, plan.Samples)
+	var src GenSource
 	for s := 0; s < plan.Samples; s++ {
-		dyns := g.Generate(make([]Dyn, 0, plan.Length), plan.Length)
-		ws = append(ws, Window{Dyns: dyns})
-		if plan.Gap > 0 {
-			g.Skip(plan.Gap)
-		}
+		src.Reset(g, plan.Length, chunk)
+		window(&src)
+		g.SkipArch(src.remaining)
+		g.Skip(plan.Gap)
 	}
-	return ws
 }

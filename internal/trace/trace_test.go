@@ -222,22 +222,55 @@ func TestSkipEquivalence(t *testing.T) {
 	}
 }
 
-func TestCollectPlan(t *testing.T) {
+// TestSamplePlan: Sample streams each window of the plan, in order and in
+// chunks of the requested size, exactly as one generator skipping the
+// warm-up and the gaps would materialize it; a window the callback leaves
+// half-read does not shift the windows after it.
+func TestSamplePlan(t *testing.T) {
 	p := loopProgram()
 	plan := SamplePlan{Samples: 4, Length: 250, Gap: 100, Warmup: 50}
-	ws := Collect(p, 17, plan)
-	if len(ws) != 4 {
-		t.Fatalf("got %d windows", len(ws))
+	g := NewGenerator(p, 17)
+	g.Skip(plan.Warmup)
+	var want [][]Dyn
+	for s := 0; s < plan.Samples; s++ {
+		want = append(want, g.Generate(nil, plan.Length))
+		g.Skip(plan.Gap)
 	}
-	for _, w := range ws {
-		if len(w.Dyns) != 250 {
-			t.Fatalf("window length %d", len(w.Dyns))
+
+	var got [][]Dyn
+	Sample(p, 17, plan, 64, func(src Source) {
+		var w []Dyn
+		for c := src.NextChunk(); len(c) > 0; c = src.NextChunk() {
+			if len(c) > 64 {
+				t.Fatalf("chunk of %d, want at most 64", len(c))
+			}
+			w = append(w, c...)
+		}
+		got = append(got, w)
+	})
+	if len(got) != plan.Samples {
+		t.Fatalf("got %d windows, want %d", len(got), plan.Samples)
+	}
+	for s := range want {
+		if len(got[s]) != plan.Length {
+			t.Fatalf("window %d length %d", s, len(got[s]))
+		}
+		for i := range want[s] {
+			if got[s][i] != want[s][i] {
+				t.Fatalf("window %d differs at %d", s, i)
+			}
 		}
 	}
-	// Windows are disjoint, increasing segments of the stream.
-	if ws[1].Dyns[0].Seq <= ws[0].Dyns[len(ws[0].Dyns)-1].Seq {
-		t.Error("windows overlap")
-	}
+
+	// Reading only the first chunk of each window leaves the later windows
+	// where the plan puts them.
+	s := 0
+	Sample(p, 17, plan, 64, func(src Source) {
+		if c := src.NextChunk(); c[0] != want[s][0] {
+			t.Errorf("window %d starts at seq %d after a partial read, want %d", s, c[0].Seq, want[s][0].Seq)
+		}
+		s++
+	})
 }
 
 func TestThumbSizesInStream(t *testing.T) {

@@ -189,6 +189,36 @@ func BenchmarkMeasureVariantHit(b *testing.B) {
 	}
 }
 
+// warmApps are the apps the served warm workload cycles its cached optimize
+// jobs through.
+var warmApps = []string{"acrobat", "maps", "browser", "email"}
+
+// reportSink keeps BenchmarkOptimizeWarm's result live.
+var reportSink *Report
+
+// BenchmarkOptimizeWarm is a cached optimize job in process: OptimizeApp
+// with the daemon's options (quick scale, one SharedCaches, one telemetry
+// registry) over caches primed for every app, so each op is five memo hits
+// plus the per-job context set-up. CI pins its bytes/op (see the
+// allocation-ceiling step).
+func BenchmarkOptimizeWarm(b *testing.B) {
+	opts := []Option{WithQuickScale(), WithSharedCaches(NewSharedCaches()), WithTelemetry(telemetry.NewRegistry())}
+	for _, name := range warmApps {
+		if _, err := OptimizeApp(name, opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := OptimizeApp(warmApps[i%len(warmApps)], opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reportSink = rep
+	}
+}
+
 // benchmarkSimTelemetry is the overhead guard for the telemetry nil-sink
 // fast path: Off simulates with Config.Metrics nil (the default every
 // experiment runs with unless -metrics-addr is up) and must stay within 2%

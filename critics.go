@@ -223,8 +223,9 @@ func Apps() []string {
 // BuildProfile, TraceApp and the serving API accept.
 func AppNames() []string {
 	var names []string
+	suites := exp.Suites()
 	for _, suite := range exp.SuiteOrder {
-		for _, a := range exp.Suites()[suite] {
+		for _, a := range suites[suite] {
 			names = append(names, a.Params.Name)
 		}
 	}

@@ -1,7 +1,9 @@
 package critics
 
 import (
+	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -10,7 +12,11 @@ import (
 	"strings"
 	"testing"
 
+	"critics/internal/cpu"
+	"critics/internal/exp"
 	"critics/internal/fleet"
+	"critics/internal/obs"
+	"critics/internal/sched"
 	"critics/internal/workload"
 )
 
@@ -115,4 +121,61 @@ func TestGoldenDeviceSketches(t *testing.T) {
 		}
 	}
 	checkGolden(t, "device.sketches.sha256", b.String())
+}
+
+// TestGoldenMemoKeys pins the memo keys a cached optimize job looks up
+// (program, profile, CritIC variant, and the baseline and CritIC
+// measurements on the Table I machine at quick scale) for every catalog app,
+// as hex. Spilled memo entries in an artifact directory and build span ids
+// are addressed by these keys, so their bytes must not drift. The parts
+// mirror exp.Context's Program, Profile, Variant and MeasureBatch; a cold
+// acrobat run checks that its build spans carry the same keys.
+func TestGoldenMemoKeys(t *testing.T) {
+	c := NewSession(WithQuickScale()).Context()
+	cfg := cpu.DefaultConfig()
+	type shape struct {
+		name, label string
+		key         sched.Key
+	}
+	shapes := func(p workload.Params) []shape {
+		meas := func(kind string) sched.Key {
+			return sched.KeyOf("meas", p, kind, cfg, false,
+				c.Seed, c.WarmupArch, c.WarmArch, c.MeasureArch, c.ProfilePlan, c.HighFanout)
+		}
+		return []shape{
+			{"prog", "program " + p.Name, sched.KeyOf("prog", p)},
+			{"prof", "profile " + p.Name, sched.KeyOf("prof", p, false, 1.0, c.ProfilePlan)},
+			{"variant", "variant " + p.Name + "/" + exp.VarCritIC, sched.KeyOf("variant", p, exp.VarCritIC, c.ProfilePlan)},
+			{"meas/base", "measure " + p.Name + "/" + exp.VarBase, meas(exp.VarBase)},
+			{"meas/critic", "measure " + p.Name + "/" + exp.VarCritIC, meas(exp.VarCritIC)},
+		}
+	}
+	var b strings.Builder
+	for _, set := range [][]workload.App{workload.MobileApps(), workload.SPECIntApps(), workload.SPECFloatApps()} {
+		for _, a := range set {
+			for _, s := range shapes(a.Params) {
+				fmt.Fprintf(&b, "%s %s %x\n", a.Params.Name, s.name, s.key)
+			}
+		}
+	}
+	checkGolden(t, "memo.keys", b.String())
+
+	if testing.Short() {
+		return
+	}
+	tr := obs.NewTrace("keys")
+	if _, err := OptimizeAppContext(obs.ContextWith(context.Background(), tr, "compute"), "acrobat", WithQuickScale()); err != nil {
+		t.Fatal(err)
+	}
+	spans, _ := tr.Snapshot()
+	ids := map[string]bool{}
+	for _, sp := range spans {
+		ids[sp.ID] = true
+	}
+	a, _ := workload.FindApp("acrobat")
+	for _, s := range shapes(a.Params) {
+		if id := obs.BuildSpanID(s.label, hex.EncodeToString(s.key[:4])); !ids[id] {
+			t.Errorf("%s: no build span %q in a cold acrobat run; the key parts above no longer match the pipeline's", s.name, id)
+		}
+	}
 }

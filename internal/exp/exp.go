@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -111,6 +112,10 @@ type Caches struct {
 	profs    *sched.Memo[*core.Profile]
 	variants *sched.Memo[variantEntry]
 	meas     *sched.Memo[*Measurement]
+
+	// tel is the telemetry bundle the last context using these caches
+	// built (SetTelemetry), reused by later contexts on the same registry.
+	tel atomic.Pointer[Telemetry]
 }
 
 // NewCaches returns an empty cache bundle with the default measurement

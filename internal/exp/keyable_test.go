@@ -19,11 +19,10 @@ var variantKinds = []string{
 // TestKeyedTypesAreKeyable walks every struct type this package passes to
 // sched.KeyOf — workload parameters for the whole catalog, the telemetry-
 // stripped machine configuration, the profiling plan, and each variant kind
-// — through sched.AssertKeyable. KeyOf hashes the %#v rendering, so a field
-// that reflection rejects (slice, map, non-nil pointer) would silently
-// produce address-dependent, nondeterministic cache keys; this test turns
-// that into a build-time-adjacent failure when someone grows one of these
-// structs.
+// — through sched.AssertKeyable. KeyOf panics on a field its walk rejects
+// (slice, map, non-nil pointer), whose %#v form would make cache keys
+// address-dependent; this test names the offending field as soon as someone
+// grows one of these structs, without running a pipeline.
 func TestKeyedTypesAreKeyable(t *testing.T) {
 	c := NewContext()
 
@@ -71,16 +70,14 @@ func TestKeyedTypesAreKeyable(t *testing.T) {
 	}
 }
 
-// TestKeyChecksUnderRealRun turns the debug assertion on and drives every
-// KeyOf call site in this package (program, profile, variant, measurement)
-// through a real reduced-scale experiment. A contract violation panics
-// inside KeyOf, failing the run.
+// TestKeyChecksUnderRealRun drives every KeyOf call site in this package
+// (program, profile, variant, measurement) through a real reduced-scale
+// experiment. KeyOf checks the key contract on every call, so a violation
+// panics inside it, failing the run.
 func TestKeyChecksUnderRealRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real experiment; skipped in -short")
 	}
-	sched.EnableKeyChecks(true)
-	defer sched.EnableKeyChecks(false)
 	if _, err := Run("fig8", determinismCtx(2)); err != nil {
 		t.Fatalf("fig8 under key checks: %v", err)
 	}

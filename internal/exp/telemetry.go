@@ -46,9 +46,19 @@ var expSecondsBuckets = telemetry.ExpBuckets(0.01, 2, 15)
 // folded in as scrape-time functions reading the caches' own atomic
 // counters — the same source of truth CacheStats reports, with no double
 // bookkeeping.
+//
+// Registering returns the series already registered under the same name and
+// labels, so every context attaching the same registry over the same caches
+// builds the same bundle; the caches keep the last one built, and a context
+// of a long-lived service (one per request) reuses it instead of resolving
+// its ~35 series again.
 func (c *Context) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		c.tel = nil
+		return
+	}
+	if t := c.caches.tel.Load(); t != nil && t.reg == reg {
+		c.tel = t
 		return
 	}
 	c.tel = &Telemetry{
@@ -68,6 +78,7 @@ func (c *Context) SetTelemetry(reg *telemetry.Registry) {
 	registerMemo(reg, "profiles", c.caches.profs)
 	registerMemo(reg, "variants", c.caches.variants)
 	registerMemo(reg, "measurements", c.caches.meas)
+	c.caches.tel.Store(c.tel)
 }
 
 // Registry returns the attached registry (nil when telemetry is off).

@@ -1,42 +1,10 @@
 package sched
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"sync"
 	"sync/atomic"
 )
-
-// Key is a content-addressed cache key: a digest of every input that
-// determines the cached artifact (workload seed and generator parameters,
-// compiler configuration, machine configuration, window sizes, ...).
-type Key [sha256.Size]byte
-
-// KeyOf fingerprints its arguments into a Key. Each part is rendered with
-// %#v — a canonical, type-tagged form for the plain structs (no pointers,
-// maps or slices) the experiment layer keys on — and hashed, so two keys
-// collide only when every configuration input is identical. The plainness
-// requirement is enforced by a reflection walk while EnableKeyChecks is on
-// (keycheck.go); tests run with it enabled.
-func KeyOf(parts ...any) Key {
-	if debugKeyChecks.Load() {
-		checkKeyParts(parts)
-	}
-	b := keyBufs.Get().(*bytes.Buffer)
-	b.Reset()
-	for _, p := range parts {
-		fmt.Fprintf(b, "%#v\x00", p)
-	}
-	k := Key(sha256.Sum256(b.Bytes()))
-	keyBufs.Put(b)
-	return k
-}
-
-// keyBufs recycles KeyOf's rendering buffers: every memo lookup, hit or
-// miss, computes a key, so a warm cache would otherwise allocate a hasher
-// per hit.
-var keyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Stats are a memo cache's hit/miss counters. Skipped counts values that
 // were computed but not retained because the byte budget was exhausted;

@@ -74,6 +74,13 @@ func (j *job) statusLocked() JobStatus {
 	return st
 }
 
+// terminal reports whether the job has reached a terminal state.
+func (j *job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state.Terminal()
+}
+
 // tryStart moves queued → running and installs the cancel func. It fails
 // when the job was canceled (or otherwise left the queued state) first; the
 // worker then skips it.

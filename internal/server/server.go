@@ -116,8 +116,8 @@ type Server struct {
 	wg    sync.WaitGroup // worker goroutines
 
 	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string // job ids, submission order
+	jobs     map[string]*job // at most maxJobs, see evictJobsLocked
+	order    []string        // job ids, submission order
 	byIdem   map[string]string
 	nextID   int64
 	draining atomic.Bool
@@ -508,9 +508,58 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.IdempotencyKey != "" {
 		s.byIdem[req.IdempotencyKey] = j.id
 	}
+	s.evictJobsLocked()
 	s.metrics.queueDepth.Add(1)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, j.Status())
+}
+
+// maxJobs bounds the job table. A finished job keeps its result bytes and
+// its span trace, so an unbounded table would grow with every job served;
+// the trace recorder retains only the last 256 traces anyway.
+const maxJobs = 4096
+
+// evictJobsLocked drops the oldest terminal jobs, with their idempotency
+// keys, until the table holds at most maxJobs jobs. Queued and running jobs
+// are never evicted. An evicted id answers 404 like an unknown one, and its
+// idempotency key admits a fresh job. Called with s.mu held.
+func (s *Server) evictJobsLocked() {
+	excess := len(s.order) - maxJobs
+	// Jobs run in admission order, so the oldest is normally finished and
+	// leaves from the front; appends reuse or regrow the backing array.
+	for excess > 0 && s.jobs[s.order[0]].terminal() {
+		s.dropJobLocked(s.order[0])
+		s.order = s.order[1:]
+		excess--
+	}
+	if excess <= 0 {
+		return
+	}
+	// A queued or running job heads the table: keep it and every other
+	// unfinished one, and evict the oldest finished jobs behind them.
+	kept := s.order[:0]
+	for i, id := range s.order {
+		if excess == 0 {
+			kept = append(kept, s.order[i:]...)
+			break
+		}
+		if !s.jobs[id].terminal() {
+			kept = append(kept, id)
+			continue
+		}
+		s.dropJobLocked(id)
+		excess--
+	}
+	s.order = kept
+}
+
+// dropJobLocked removes a job and its idempotency key from the table.
+func (s *Server) dropJobLocked(id string) {
+	j := s.jobs[id]
+	delete(s.jobs, id)
+	if k := j.req.IdempotencyKey; k != "" {
+		delete(s.byIdem, k)
+	}
 }
 
 // handleProfiles ingests one encoded profile sketch from a device. The body
@@ -681,8 +730,9 @@ func normalize(req *SubmitRequest) string {
 // resolveApp matches name case-insensitively against the catalog and returns
 // the canonical name.
 func resolveApp(name string) (string, bool) {
+	suites := exp.Suites()
 	for _, suite := range exp.SuiteOrder {
-		for _, a := range exp.Suites()[suite] {
+		for _, a := range suites[suite] {
 			if strings.EqualFold(a.Params.Name, name) {
 				return a.Params.Name, true
 			}

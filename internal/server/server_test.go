@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"critics"
+	"critics/internal/workload"
 )
 
 // start spins up a server over httptest and returns it with a client and a
@@ -219,6 +221,96 @@ func TestIdempotency(t *testing.T) {
 	}
 }
 
+// TestJobTableBounded: the job table keeps the maxJobs most recent jobs.
+// After maxJobs+8 finished jobs the first 8 are gone (404, like an unknown
+// id), the rest resolve, the list holds maxJobs entries, and an evicted
+// job's idempotency key admits a fresh job.
+func TestJobTableBounded(t *testing.T) {
+	cfg := stubConfig(echoStub)
+	cfg.QueueSize = 64
+	s, c := start(t, cfg)
+	ctx := context.Background()
+
+	terminal := func(ids []string) func() bool {
+		return func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			for _, id := range ids {
+				if j := s.jobs[id]; j == nil || !j.terminal() {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	// Submit in queue-sized batches and let each batch finish, so every
+	// eviction finds the oldest jobs already terminal.
+	ids := make([]string, maxJobs+8)
+	for lo := 0; lo < len(ids); lo += cfg.QueueSize {
+		hi := min(lo+cfg.QueueSize, len(ids))
+		for i := lo; i < hi; i++ {
+			st, err := c.Submit(ctx, SubmitRequest{App: "acrobat", IdempotencyKey: fmt.Sprintf("k%d", i)})
+			if err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+			ids[i] = st.ID
+		}
+		waitFor(t, terminal(ids[lo:hi]))
+	}
+
+	for _, id := range ids[:8] {
+		if _, err := c.Status(ctx, id); err == nil {
+			t.Errorf("evicted job %s still resolves", id)
+		} else if apiErr, ok := err.(*APIError); !ok || apiErr.Code != http.StatusNotFound {
+			t.Errorf("status of evicted job %s: %v, want 404", id, err)
+		}
+	}
+	for _, id := range ids[8:] {
+		if st, err := c.Status(ctx, id); err != nil || st.State != StateSucceeded {
+			t.Fatalf("retained job %s: state %s, err %v", id, st.State, err)
+		}
+	}
+	raw, err := c.raw(ctx, "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct{ Jobs []JobStatus }
+	if err := json.Unmarshal(raw, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != maxJobs || list.Jobs[0].ID != ids[len(ids)-1] || list.Jobs[maxJobs-1].ID != ids[8] {
+		t.Errorf("GET /v1/jobs lists %d jobs, want the %d newest", len(list.Jobs), maxJobs)
+	}
+
+	again, err := c.Submit(ctx, SubmitRequest{App: "acrobat", IdempotencyKey: "k0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ID == ids[0] {
+		t.Errorf("evicted job's idempotency key returned the evicted job %s", again.ID)
+	}
+
+	// Unfinished jobs are never evicted, however old: with the second
+	// oldest still queued, the oldest finished ones make room.
+	u := &Server{jobs: map[string]*job{}, byIdem: map[string]string{}}
+	for i := 0; i < maxJobs+2; i++ {
+		j := newJob(fmt.Sprintf("u%d", i), SubmitRequest{IdempotencyKey: fmt.Sprintf("u%d", i)})
+		if i != 1 {
+			j.state = StateSucceeded
+		}
+		u.jobs[j.id] = j
+		u.order = append(u.order, j.id)
+		u.byIdem[j.req.IdempotencyKey] = j.id
+	}
+	u.evictJobsLocked()
+	if len(u.jobs) != maxJobs || len(u.order) != maxJobs || u.order[0] != "u1" || u.order[1] != "u3" {
+		t.Errorf("eviction kept %d jobs starting %v, want %d starting [u1 u3]", len(u.jobs), u.order[:2], maxJobs)
+	}
+	if _, ok := u.byIdem["u2"]; ok || u.byIdem["u1"] != "u1" {
+		t.Error("eviction did not drop exactly the evicted jobs' idempotency keys")
+	}
+}
+
 // TestPanicIsolation: a panicking workload fails its own job with the panic
 // message and the daemon keeps serving the next one.
 func TestPanicIsolation(t *testing.T) {
@@ -402,6 +494,29 @@ func TestCatalogEndpoints(t *testing.T) {
 	}
 	if len(ids) == 0 {
 		t.Error("/v1/experiments empty")
+	}
+}
+
+// TestResolveApp: every catalog name resolves case-insensitively to itself,
+// an unknown name is refused, and the catalog lists the SPEC suites before
+// the mobile apps.
+func TestResolveApp(t *testing.T) {
+	var want []string
+	for _, set := range [][]workload.App{workload.SPECIntApps(), workload.SPECFloatApps(), workload.MobileApps()} {
+		for _, a := range set {
+			want = append(want, a.Params.Name)
+		}
+	}
+	if got := critics.AppNames(); !slices.Equal(got, want) {
+		t.Errorf("AppNames() = %v, want SPEC int, SPEC float, then mobile: %v", got, want)
+	}
+	for _, name := range want {
+		if got, ok := resolveApp(strings.ToUpper(name)); !ok || got != name {
+			t.Errorf("resolveApp(%q) = %q, %v; want %q", strings.ToUpper(name), got, ok, name)
+		}
+	}
+	if got, ok := resolveApp("no-such-app"); ok {
+		t.Errorf("resolveApp accepted an unknown name as %q", got)
 	}
 }
 

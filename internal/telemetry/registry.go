@@ -83,10 +83,15 @@ func renderLabels(labels []Label) string {
 	return b.String()
 }
 
-func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
+// labelEscaper and helpEscaper are built once: every labelled series
+// lookup escapes its label values, and a fresh Replacer costs more than the
+// rest of the lookup.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
+
+func escapeLabelValue(v string) string { return labelEscaper.Replace(v) }
 
 // register returns the existing series for (name, labels) or installs the
 // one built by mk. Registering the same name with a different type panics —
@@ -334,7 +339,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, n := range names {
 		f := r.families[n]
 		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", n, strings.NewReplacer("\\", `\\`, "\n", `\n`).Replace(f.help))
+			fmt.Fprintf(bw, "# HELP %s %s\n", n, helpEscaper.Replace(f.help))
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", n, f.typ)
 		keys := make([]string, 0, len(f.series))

@@ -305,10 +305,10 @@ func SPECFloatApps() []App {
 }
 
 // FindApp returns the catalog entry with the given name, searching all
-// suites.
+// suites; a suite is built only if the earlier ones lack the name.
 func FindApp(name string) (App, bool) {
-	for _, set := range [][]App{MobileApps(), SPECIntApps(), SPECFloatApps()} {
-		for _, a := range set {
+	for _, suite := range []func() []App{MobileApps, SPECIntApps, SPECFloatApps} {
+		for _, a := range suite() {
 			if a.Params.Name == name {
 				return a, true
 			}

@@ -46,7 +46,7 @@ func cmdScan(ctx context.Context, c *server.Client, args []string) {
 	}
 
 	if *local {
-		rep, err := scan.Run(bytes.NewReader(img), bytes.NewReader(trc),
+		rep, err := scan.Run(img, bytes.NewReader(trc),
 			artifact.Sum(img), artifact.Sum(trc), scan.Options{})
 		if err != nil {
 			fatal(err)

@@ -1,7 +1,11 @@
 package binimg
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"testing"
+	"testing/iotest"
 
 	"critics/internal/compiler"
 	"critics/internal/core"
@@ -177,5 +181,54 @@ func TestAssembleRejectsCDPCollision(t *testing.T) {
 	p.Layout()
 	if _, err := Assemble(p); err == nil {
 		t.Error("ambiguous encoding accepted")
+	}
+}
+
+// errCorrupt stands in for an artifact reader's integrity failure.
+var errCorrupt = errors.New("content failed verification")
+
+// failAtEOF hands out every byte of r and then fails where r reports EOF —
+// the shape of an artifact store reader whose content does not match its
+// digest.
+type failAtEOF struct{ r io.Reader }
+
+func (f failAtEOF) Read(p []byte) (int, error) {
+	n, err := f.r.Read(p)
+	if err == io.EOF {
+		err = errCorrupt
+	}
+	return n, err
+}
+
+// TestDecoderReturnsSourceError: a read error, even one that arrives only
+// once every byte has been handed out, fails the walk with a sticky error
+// naming the offset, instead of ending it like a clean EOF.
+func TestDecoderReturnsSourceError(t *testing.T) {
+	p := workload.Generate(workload.MobileApps()[0].Params)
+	img, err := Assemble(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Decode(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]io.Reader{
+		"error after the last byte": failAtEOF{bytes.NewReader(img)},
+		"error with the last byte":  iotest.DataErrReader(failAtEOF{bytes.NewReader(img)}),
+	} {
+		d := NewDecoder(r)
+		n := 0
+		for ; ; n++ {
+			if _, err = d.Next(); err != nil {
+				break
+			}
+		}
+		if !errors.Is(err, errCorrupt) {
+			t.Fatalf("%s: walk ended with %v after %d of %d elements, want %v", name, err, n, len(want), errCorrupt)
+		}
+		if _, again := d.Next(); again != err {
+			t.Fatalf("%s: error not sticky: %v then %v", name, err, again)
+		}
 	}
 }

@@ -59,11 +59,17 @@ func (d *Decoder) advance(n int) {
 
 func (d *Decoder) next() (Decoded, error) {
 	for {
-		buf, _ := d.br.Peek(4)
+		buf, err := d.br.Peek(4)
+		off := d.off
+		if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
+			// A failing source — e.g. an artifact reader whose content
+			// failed digest verification at EOF — fails the walk: the bytes
+			// already decoded cannot be trusted either.
+			return Decoded{}, fmt.Errorf("binimg: reading at %#x: %w", off, err)
+		}
 		if len(buf) == 0 {
 			return Decoded{}, io.EOF
 		}
-		off := d.off
 		if d.thumbLeft > 0 || d.thumbUntilExit {
 			if len(buf) < 2 {
 				return Decoded{}, fmt.Errorf("binimg: truncated halfword at %#x", off)

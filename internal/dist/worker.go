@@ -76,10 +76,9 @@ type Worker struct {
 
 	fetchClient *http.Client
 
-	// idxMu guards idxCache, a small memo of built image indexes so many
-	// scan batches against the same image decode it once.
-	idxMu    sync.Mutex
-	idxCache map[string]*scan.Index
+	// indexes holds the scan index of every image this worker scored, by
+	// digest, so the batches of many scans against one image decode it once.
+	indexes *scan.IndexCache
 }
 
 // NewWorker builds a worker.
@@ -103,7 +102,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg: cfg, log: log,
 		slots:       make(chan struct{}, cfg.Capacity),
 		fetchClient: &http.Client{Timeout: 2 * time.Minute},
-		idxCache:    map[string]*scan.Index{},
+		indexes:     scan.NewIndexCache(),
 	}
 	w.failFirst.Store(int64(cfg.FailFirstTasks))
 	if reg := cfg.Registry; reg != nil {
@@ -262,8 +261,8 @@ func (w *Worker) execute(ctx context.Context, task Task) (m *exp.Measurement, er
 // executeScan scores one scan batch. Both inputs arrive by digest: whatever
 // the local artifact store is missing is fetched from the coordinator first
 // (ensureArtifact), so the store doubles as a warm cache across batches and
-// worker restarts. Image decode is memoized per digest — a scan fanned out
-// over N batches builds its index here once.
+// worker restarts. Image decode is memoized per digest — every batch of
+// every scan against one image shares one index build here.
 func (w *Worker) executeScan(ctx context.Context, st ScanTask) ([]scan.ChunkResult, error) {
 	if w.cfg.Artifacts == nil {
 		return nil, fmt.Errorf("%w: worker has no artifact store", errBadTask)
@@ -330,32 +329,19 @@ func (w *Worker) ensureArtifact(ctx context.Context, digest string) error {
 	return nil
 }
 
-// imageIndex returns the memoized scan index for an image digest, building
-// it from the stored blob on first use.
+// imageIndex returns the scan index of an image digest, building it from
+// the stored blob on first use. The blob is opened even on a hit, so an
+// image the store no longer holds fails the task the same way either way.
 func (w *Worker) imageIndex(digest string) (*scan.Index, error) {
-	w.idxMu.Lock()
-	defer w.idxMu.Unlock()
-	if idx, ok := w.idxCache[digest]; ok {
-		return idx, nil
-	}
-	rc, _, err := w.cfg.Artifacts.Open(digest)
+	rc, size, err := w.cfg.Artifacts.Open(digest)
 	if err != nil {
 		return nil, fmt.Errorf("opening image artifact: %w", err)
 	}
 	defer rc.Close()
-	idx, err := scan.BuildIndex(rc)
+	idx, _, err := w.indexes.Get(digest, rc, size)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadTask, err)
 	}
-	// Bound the memo: scans cycle through few images; keep it from growing
-	// without bound on a long-lived worker.
-	if len(w.idxCache) >= 8 {
-		for k := range w.idxCache {
-			delete(w.idxCache, k)
-			break
-		}
-	}
-	w.idxCache[digest] = idx
 	return idx, nil
 }
 

@@ -1,19 +1,21 @@
 // Package scan is the source-free binary scanning service: it scores missed
 // CritIC opportunities directly from an uploaded binary image plus an
-// address trace, with no access to the program that produced them —
-// the ROADMAP's source-free item, grounded in the compiler-optimization
-// impact-analysis line of PAPERS.md.
+// address trace, with no access to the program that produced them — the
+// setting of the compiler-optimization impact-analysis line of PAPERS.md.
 //
 // Pipeline: the image streams through binimg's format-state-machine decoder
-// into an address-indexed instruction table (BuildIndex; bounded memory — the
-// image itself is never buffered); the trace is a chunked delta-varint
-// address stream (tracefile.go); each trace chunk is scored independently
-// (ScoreChunk) by synthesizing a dynamic dependence stream from the static
-// operands — last-writer-per-register (and CC) tracking, reset at chunk
-// boundaries — and running the same dfg fanout/chain extraction the
-// source-level profiler uses. Chains that are high-fanout, entirely 32-bit
-// and Thumb-representable are missed CritICs: opportunities the CritIC pass
-// would have converted had it seen the source.
+// into a dense address index (BuildIndex): one slot per image halfword,
+// allocated once from the image size at 10 bytes per image byte, while the
+// image itself is never buffered. An index is a pure function of the image
+// bytes, which the image digest names, so an IndexCache builds it once per
+// digest — criticd's coordinator and its dist workers each keep one. The
+// trace is a chunked delta-varint address stream (tracefile.go); each trace
+// chunk is scored independently (ScoreChunk) by synthesizing a dynamic
+// dependence stream from the static operands — last-writer-per-register
+// (and CC) tracking, reset at chunk boundaries — and running the same dfg
+// fanout/chain extraction the source-level profiler uses. Chains that are
+// high-fanout, entirely 32-bit and Thumb-representable are missed CritICs:
+// opportunities the CritIC pass would have converted had it seen the source.
 //
 // Determinism contract: chunk scoring depends only on (image, chunk
 // addresses, options) — producer tracking resets per chunk, matching dfg's
@@ -24,9 +26,12 @@
 package scan
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"unsafe"
 
 	"critics/internal/binimg"
 	"critics/internal/dfg"
@@ -70,7 +75,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ent is one statically decoded instruction.
+// ent is one statically decoded instruction. The zero ent (size 0) is an
+// index slot no instruction starts at.
 type ent struct {
 	inst  isa.Inst
 	size  uint8
@@ -79,9 +85,12 @@ type ent struct {
 	cdpN  uint8
 }
 
-// Index is the address-indexed static view of a decoded image.
+// Index is the address-indexed static view of a decoded image: one slot per
+// image halfword, slot addr>>1, since every instruction and CDP command
+// starts on a halfword boundary. A 20-byte slot per halfword makes the index
+// 10 bytes per image byte, allocated once from the image size.
 type Index struct {
-	ents map[uint32]ent
+	ents []ent
 
 	// Instrs counts decoded instructions (CDP commands included);
 	// ThumbInstrs and CDPs break that down.
@@ -90,24 +99,53 @@ type Index struct {
 	CDPs        int
 }
 
-// BuildIndex streams an image through the binary decoder into an
-// address-indexed instruction table. The image is consumed, never buffered.
-func BuildIndex(img io.Reader) (*Index, error) {
-	idx := &Index{ents: map[uint32]ent{}}
-	dec := binimg.NewDecoder(img)
+// lookup returns the instruction starting at addr. Odd addresses, slots no
+// instruction starts at (padding, the second halfword of an A32 word) and
+// addresses at or past the image end are unknown.
+func (idx *Index) lookup(addr uint32) (ent, bool) {
+	i := int(addr >> 1)
+	if addr&1 != 0 || i >= len(idx.ents) {
+		return ent{}, false
+	}
+	e := idx.ents[i]
+	return e, e.size != 0
+}
+
+// footprint is the index's memory size: its retention cost in an
+// IndexCache.
+func (idx *Index) footprint() int64 {
+	return int64(len(idx.ents)) * int64(unsafe.Sizeof(ent{}))
+}
+
+// BuildIndex streams an image of size bytes through the binary decoder into
+// an address-indexed instruction table. The image is consumed, never
+// buffered; the table is allocated once, from size. An image that streams
+// more than size bytes is a decode error, one that streams fewer leaves its
+// missing tail unknown.
+func BuildIndex(img io.Reader, size int64) (*Index, error) {
+	if size < 0 || size >= math.MaxUint32 {
+		return nil, fmt.Errorf("scan: image size %d outside [0, 4 GiB)", size)
+	}
+	idx := &Index{ents: make([]ent, (size+1)/2)}
+	// One byte past size is enough to tell an overlong stream; the limit
+	// keeps every decoded address inside the table.
+	dec := binimg.NewDecoder(io.LimitReader(img, size+1))
 	for {
 		d, err := dec.Next()
 		if err == io.EOF {
+			if int64(dec.Offset()) > size {
+				return nil, fmt.Errorf("scan: decoding image: longer than its declared %d bytes", size)
+			}
 			return idx, nil
 		}
 		if err != nil {
 			return nil, fmt.Errorf("scan: decoding image: %w", err)
 		}
-		size := uint8(4)
+		width := uint8(4)
 		if d.Thumb {
-			size = 2
+			width = 2
 		}
-		idx.ents[d.Addr] = ent{inst: d.Inst, size: size, thumb: d.Thumb, isCDP: d.IsCDP, cdpN: uint8(d.CDPCount)}
+		idx.ents[d.Addr>>1] = ent{inst: d.Inst, size: width, thumb: d.Thumb, isCDP: d.IsCDP, cdpN: uint8(d.CDPCount)}
 		idx.Instrs++
 		if d.Thumb {
 			idx.ThumbInstrs++
@@ -143,7 +181,7 @@ func ScoreChunk(idx *Index, chunkIndex int, addrs []uint32, opt Options) ChunkRe
 	var srcBuf [4]isa.Reg
 
 	for _, a := range addrs {
-		e, ok := idx.ents[a]
+		e, ok := idx.lookup(a)
 		if !ok {
 			// An address the static decode never produced: JIT region,
 			// desynced trace, or an adversarial input. Counted, skipped.
@@ -247,12 +285,13 @@ func qualify(c *dfg.Chain, dyns []trace.Dyn, insts []isa.Inst, statics []ent, op
 	}, true
 }
 
-// Run scores a whole scan locally: index the image, then score every trace
-// chunk in order and merge. Both the server's local execution path and
-// criticctl's -local mode go through here, so the two produce identical
-// reports by construction.
-func Run(img, trc io.Reader, imageDigest, traceDigest string, opt Options) (*Report, error) {
-	idx, err := BuildIndex(img)
+// Run scores a whole scan in process: index the image, then score every
+// trace chunk in order and merge — criticctl's -local mode. criticd instead
+// takes the index from its IndexCache and scores chunk batches with
+// ScoreSelected, locally or on the fleet; both paths score each chunk with
+// ScoreChunk and merge with Merge, so their reports are byte-identical.
+func Run(img []byte, trc io.Reader, imageDigest, traceDigest string, opt Options) (*Report, error) {
+	idx, err := BuildIndex(bytes.NewReader(img), int64(len(img)))
 	if err != nil {
 		return nil, err
 	}

@@ -95,7 +95,7 @@ func TestTraceReaderRejectsGarbage(t *testing.T) {
 
 func TestBuildIndexStreams(t *testing.T) {
 	img, _ := appImage(t, 0)
-	idx, err := BuildIndex(bytes.NewReader(img))
+	idx, err := BuildIndex(bytes.NewReader(img), int64(len(img)))
 	if err != nil {
 		t.Fatalf("BuildIndex: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestBuildIndexStreams(t *testing.T) {
 
 func TestRunFindsOpportunities(t *testing.T) {
 	img, addrs := appImage(t, 20000)
-	rep, err := Run(bytes.NewReader(img), bytes.NewReader(TraceBytes(addrs, 0)),
+	rep, err := Run(img, bytes.NewReader(TraceBytes(addrs, 0)),
 		"sha256:img", "sha256:trc", Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -144,7 +144,7 @@ func TestRunFindsOpportunities(t *testing.T) {
 // producer tracking resets at chunk boundaries.
 func TestChunkScoringPositionIndependent(t *testing.T) {
 	img, addrs := appImage(t, 8192)
-	idx, err := BuildIndex(bytes.NewReader(img))
+	idx, err := BuildIndex(bytes.NewReader(img), int64(len(img)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +171,12 @@ func TestMergeOrderInsensitive(t *testing.T) {
 	opt := Options{}
 	trc := TraceBytes(addrs, 0)
 
-	local, err := Run(bytes.NewReader(img), bytes.NewReader(trc), "sha256:i", "sha256:t", opt)
+	local, err := Run(img, bytes.NewReader(trc), "sha256:i", "sha256:t", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	idx, err := BuildIndex(bytes.NewReader(img))
+	idx, err := BuildIndex(bytes.NewReader(img), int64(len(img)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestMergeOrderInsensitive(t *testing.T) {
 
 func TestUnknownAddressesCounted(t *testing.T) {
 	img, addrs := appImage(t, 512)
-	idx, err := BuildIndex(bytes.NewReader(img))
+	idx, err := BuildIndex(bytes.NewReader(img), int64(len(img)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +255,9 @@ func TestReportTextStable(t *testing.T) {
 }
 
 // BenchmarkBuildIndex pins the bounded-memory ingest property over a
-// multi-MB image: allocations grow with the instruction count (the index),
-// not with spare copies of the image. CI asserts a bytes-allocated ceiling
-// over this benchmark.
+// multi-MB image: one index allocation of 10 bytes per image byte, never a
+// spare copy of the image. CI asserts allocs/op and bytes-allocated
+// ceilings over this benchmark.
 func BenchmarkBuildIndex(b *testing.B) {
 	img, _ := appImage(b, 0)
 	for len(img) < 4<<20 {
@@ -267,7 +267,7 @@ func BenchmarkBuildIndex(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildIndex(bytes.NewReader(img)); err != nil {
+		if _, err := BuildIndex(bytes.NewReader(img), int64(len(img))); err != nil {
 			b.Fatal(err)
 		}
 	}

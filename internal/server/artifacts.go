@@ -178,9 +178,10 @@ func writeArtifactErr(w http.ResponseWriter, digest string, err error) {
 
 // ---- scan job execution --------------------------------------------------
 
-// executeScan runs one KindScan job: build the image index, score every
-// trace chunk — across the dist fleet when one is healthy, locally
-// otherwise — and merge into the ranked report. Chunk scoring is
+// executeScan runs one KindScan job: take the image index from the index
+// cache (building it on first use), score every trace chunk — across the
+// dist fleet when one is healthy, locally otherwise — and merge into the
+// ranked report. Chunk scoring is
 // integer-only and position-independent and Merge orders deterministically,
 // so the distributed report is byte-identical to the local one.
 func (s *Server) executeScan(ctx context.Context, req SubmitRequest) ([]byte, error) {
@@ -192,11 +193,13 @@ func (s *Server) executeScan(ctx context.Context, req SubmitRequest) ([]byte, er
 		tIndex = t.Now()
 	}
 
-	imgRC, _, err := s.artifacts.Open(req.ImageDigest)
+	// The image is opened even when its index is cached, so a scan of a
+	// missing or collected image fails the same way either way.
+	imgRC, size, err := s.artifacts.Open(req.ImageDigest)
 	if err != nil {
 		return nil, fmt.Errorf("image artifact %s: %w (chunk-upload it to PUT /v1/artifacts/{digest} first)", req.ImageDigest, err)
 	}
-	idx, err := scan.BuildIndex(imgRC)
+	idx, hit, err := s.indexes.Get(req.ImageDigest, imgRC, size)
 	imgRC.Close()
 	if err != nil {
 		return nil, fmt.Errorf("decoding image %s: %w", req.ImageDigest, err)
@@ -204,7 +207,7 @@ func (s *Server) executeScan(ctx context.Context, req SubmitRequest) ([]byte, er
 	if obsOn {
 		t.Add(obs.Span{ID: "scan-index", Parent: parent, Name: "scan-index",
 			StartUS: tIndex, DurUS: t.Now() - tIndex,
-			Attrs: []obs.Attr{obs.A("image", req.ImageDigest)}})
+			Attrs: []obs.Attr{obs.A("image", req.ImageDigest), obs.A("hit", strconv.FormatBool(hit))}})
 	}
 
 	trcRC, _, err := s.artifacts.Open(req.TraceDigest)

@@ -7,14 +7,19 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"critics"
 	"critics/internal/artifact"
+	"critics/internal/binimg"
 	"critics/internal/dist"
 	"critics/internal/fleet"
+	"critics/internal/obs"
 	"critics/internal/scan"
 	"critics/internal/telemetry"
 	"critics/internal/workload"
@@ -352,5 +357,161 @@ func TestProfileArchive(t *testing.T) {
 	}
 	if n := len(s.artifacts.List()); n != 1 {
 		t.Fatalf("store holds %d blobs after duplicate sends, want 1", n)
+	}
+}
+
+// scanIndexHit returns the hit attribute of a job's scan-index span.
+func scanIndexHit(t *testing.T, c *Client, id string) string {
+	t.Helper()
+	raw, err := c.Trace(context.Background(), id, "")
+	if err != nil {
+		t.Fatalf("trace %s: %v", id, err)
+	}
+	var doc obs.TraceDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var find func(nodes []*obs.Node) *obs.Node
+	find = func(nodes []*obs.Node) *obs.Node {
+		for _, n := range nodes {
+			if n.ID == "scan-index" {
+				return n
+			}
+			if m := find(n.Children); m != nil {
+				return m
+			}
+		}
+		return nil
+	}
+	n := find(doc.Spans)
+	if n == nil {
+		t.Fatalf("job %s has no scan-index span", id)
+	}
+	for _, a := range n.Attrs {
+		if a.Key == "hit" {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// TestScanIndexMemoized: a second scan of one image, with another trace, is
+// served from the daemon's index cache, and both reports are byte-identical
+// to a fresh daemon's. Once GC removes the image, a scan fails as if it had
+// never been uploaded instead of being served from the cache.
+func TestScanIndexMemoized(t *testing.T) {
+	img, addrs, err := critics.ScanInputs("acrobat", 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := [][]byte{scan.TraceBytes(addrs[:12000], 1024), scan.TraceBytes(addrs[8000:], 1024)}
+
+	_, c := start(t, Config{QueueSize: 4, Workers: 1})
+	ctx := context.Background()
+	imgDigest, err := c.UploadArtifact(ctx, img, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, trc := range traces {
+		trcDigest, err := c.UploadArtifact(ctx, trc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := submitAndWait(t, c, SubmitRequest{Kind: KindScan, ImageDigest: imgDigest, TraceDigest: trcDigest})
+		if st.State != StateSucceeded {
+			t.Fatalf("scan %d ended %s: %s", i, st.State, st.Error)
+		}
+		if hit, want := scanIndexHit(t, c, st.ID), strconv.FormatBool(i > 0); hit != want {
+			t.Errorf("scan %d: scan-index hit=%q, want %q", i, hit, want)
+		}
+		raw, err := c.Result(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fresh := start(t, Config{QueueSize: 4, Workers: 1})
+		if want := scanOnce(t, fresh, img, trc); !bytes.Equal(raw, want) {
+			t.Fatalf("scan %d with a cached index differs from a fresh daemon's:\n%s\n%s", i, raw, want)
+		}
+	}
+
+	if _, err := c.ArtifactGC(ctx); err != nil {
+		t.Fatal(err)
+	}
+	trcDigest, err := c.UploadArtifact(ctx, traces[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := submitAndWait(t, c, SubmitRequest{Kind: KindScan, ImageDigest: imgDigest, TraceDigest: trcDigest})
+	if st.State != StateFailed || !strings.Contains(st.Error, "image artifact") || !strings.Contains(st.Error, "/v1/artifacts") {
+		t.Fatalf("scan of a collected image ended %s: %q; want the upload-endpoint error", st.State, st.Error)
+	}
+}
+
+// TestScanImageIntegrity: an image corrupted on the store's disk tier fails
+// its scan with the integrity error instead of being indexed, and the
+// failure is not cached: once the bytes are restored, the next scan
+// succeeds.
+func TestScanImageIntegrity(t *testing.T) {
+	dir := t.TempDir()
+	store, err := artifact.Open(artifact.Config{Dir: dir, MemBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c := start(t, Config{QueueSize: 4, Workers: 1, Artifacts: store})
+	ctx := context.Background()
+	img, trc := scanFixture(t, 8000)
+	imgDigest, err := c.UploadArtifact(ctx, img, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trcDigest, err := c.UploadArtifact(ctx, trc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Swap the first two distinct non-zero words: every word still decodes,
+	// only the content hash tells.
+	path := filepath.Join(dir, "sha256-"+strings.TrimPrefix(imgDigest, artifact.Prefix))
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("image is not on the disk tier: %v", err)
+	}
+	corrupt := bytes.Clone(clean)
+	first := -1
+	for off := 0; off+4 <= len(corrupt); off += 4 {
+		w := corrupt[off : off+4]
+		if bytes.Equal(w, make([]byte, 4)) {
+			continue
+		}
+		if first < 0 {
+			first = off
+			continue
+		}
+		if !bytes.Equal(w, corrupt[first:first+4]) {
+			tmp := bytes.Clone(w)
+			copy(w, corrupt[first:first+4])
+			copy(corrupt[first:first+4], tmp)
+			break
+		}
+	}
+	if bytes.Equal(corrupt, clean) {
+		t.Fatal("found no two distinct words to swap")
+	}
+	if _, err := binimg.Decode(corrupt); err != nil {
+		t.Fatalf("the swapped image no longer decodes (%v); the test needs a corruption only the hash detects", err)
+	}
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := submitAndWait(t, c, SubmitRequest{Kind: KindScan, ImageDigest: imgDigest, TraceDigest: trcDigest})
+	if st.State != StateFailed || !strings.Contains(st.Error, "integrity") {
+		t.Fatalf("scan of a corrupted image ended %s: %q; want an integrity failure", st.State, st.Error)
+	}
+
+	if err := os.WriteFile(path, clean, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st := submitAndWait(t, c, SubmitRequest{Kind: KindScan, ImageDigest: imgDigest, TraceDigest: trcDigest}); st.State != StateSucceeded {
+		t.Fatalf("scan after restoring the image ended %s: %s", st.State, st.Error)
 	}
 }

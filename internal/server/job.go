@@ -34,6 +34,10 @@ type job struct {
 	started  time.Time
 	finished time.Time
 
+	// resultBytes is the result size counted against the table's byte
+	// budget; guarded by Server.mu, not mu.
+	resultBytes int64
+
 	// cancel aborts the job's run context. Set when the job starts; calling
 	// it is how DELETE reaches a running job. requested remembers a cancel
 	// that arrived while the job was still queued-to-running racing.

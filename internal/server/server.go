@@ -20,6 +20,7 @@ import (
 	"critics/internal/exp"
 	"critics/internal/fleet"
 	"critics/internal/obs"
+	"critics/internal/scan"
 	"critics/internal/sketch"
 	"critics/internal/telemetry"
 )
@@ -107,6 +108,9 @@ type Server struct {
 	artifactDirOwned string
 	uploadSlots      chan struct{}
 
+	// indexes holds the scan index of every image scanned, by digest.
+	indexes *scan.IndexCache
+
 	// baseCtx parents every job context; cancelBase aborts in-flight jobs
 	// when a Shutdown deadline expires.
 	baseCtx    context.Context
@@ -115,12 +119,13 @@ type Server struct {
 	queue chan *job
 	wg    sync.WaitGroup // worker goroutines
 
-	mu       sync.Mutex
-	jobs     map[string]*job // at most maxJobs, see evictJobsLocked
-	order    []string        // job ids, submission order
-	byIdem   map[string]string
-	nextID   int64
-	draining atomic.Bool
+	mu          sync.Mutex
+	jobs        map[string]*job // at most maxJobs, see evictJobsLocked
+	order       []string        // job ids, submission order
+	byIdem      map[string]string
+	resultBytes int64 // summed result bytes of the jobs in the table
+	nextID      int64
+	draining    atomic.Bool
 }
 
 // New builds a server and starts its worker goroutines. Callers own calling
@@ -157,6 +162,7 @@ func New(cfg Config) *Server {
 		jobs:        map[string]*job{},
 		byIdem:      map[string]string{},
 		uploadSlots: make(chan struct{}, artifactUploadSlots),
+		indexes:     scan.NewIndexCache(),
 	}
 	s.artifacts = cfg.Artifacts
 	if s.artifacts == nil {
@@ -313,6 +319,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		}
 		s.metrics.outcomes(outcome).Inc()
 	})
+	s.retainResult(j)
 	s.finishJob(j, computeStart)
 
 	st := j.Status()
@@ -519,27 +526,57 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // the trace recorder retains only the last 256 traces anyway.
 const maxJobs = 4096
 
+// maxResultBytes bounds the result bytes the job table retains: 4,096 scan
+// reports of about 140 KB each would otherwise hold over half a gigabyte.
+const maxResultBytes = 32 << 20
+
+// keepJobs is how many of the newest jobs the byte budget never evicts: the
+// trace recorder's depth, so every retained trace stays reachable through
+// its job.
+const keepJobs = 256
+
+// retainResult counts a finished job's result against maxResultBytes, unless
+// the job was evicted as soon as it finished, and evicts what the table no
+// longer has room for.
+func (s *Server) retainResult(j *job) {
+	res, _ := j.Result()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.jobs[j.id] == j {
+		j.resultBytes = int64(len(res))
+		s.resultBytes += j.resultBytes
+	}
+	s.evictJobsLocked()
+}
+
 // evictJobsLocked drops the oldest terminal jobs, with their idempotency
-// keys, until the table holds at most maxJobs jobs. Queued and running jobs
-// are never evicted. An evicted id answers 404 like an unknown one, and its
-// idempotency key admits a fresh job. Called with s.mu held.
+// keys, while the table holds more than maxJobs jobs, or more than
+// maxResultBytes result bytes and the job is not among the keepJobs newest.
+// Queued and running jobs are never evicted. An evicted id answers 404 like
+// an unknown one, and its idempotency key admits a fresh job. Called with
+// s.mu held.
 func (s *Server) evictJobsLocked() {
 	excess := len(s.order) - maxJobs
+	reach := len(s.order) - keepJobs // jobs the byte budget may evict
+	over := func(i int) bool {
+		return excess > 0 || (i < reach && s.resultBytes > maxResultBytes)
+	}
 	// Jobs run in admission order, so the oldest is normally finished and
 	// leaves from the front; appends reuse or regrow the backing array.
-	for excess > 0 && s.jobs[s.order[0]].terminal() {
+	for over(0) && s.jobs[s.order[0]].terminal() {
 		s.dropJobLocked(s.order[0])
 		s.order = s.order[1:]
 		excess--
+		reach--
 	}
-	if excess <= 0 {
+	if !over(0) {
 		return
 	}
 	// A queued or running job heads the table: keep it and every other
 	// unfinished one, and evict the oldest finished jobs behind them.
 	kept := s.order[:0]
 	for i, id := range s.order {
-		if excess == 0 {
+		if !over(i) {
 			kept = append(kept, s.order[i:]...)
 			break
 		}
@@ -553,13 +590,15 @@ func (s *Server) evictJobsLocked() {
 	s.order = kept
 }
 
-// dropJobLocked removes a job and its idempotency key from the table.
+// dropJobLocked removes a job and its idempotency key from the table and
+// releases its result bytes.
 func (s *Server) dropJobLocked(id string) {
 	j := s.jobs[id]
 	delete(s.jobs, id)
 	if k := j.req.IdempotencyKey; k != "" {
 		delete(s.byIdem, k)
 	}
+	s.resultBytes -= j.resultBytes
 }
 
 // handleProfiles ingests one encoded profile sketch from a device. The body

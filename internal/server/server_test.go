@@ -311,6 +311,95 @@ func TestJobTableBounded(t *testing.T) {
 	}
 }
 
+// TestJobTableResultBytes: past maxResultBytes of retained results the
+// oldest finished jobs are evicted by bytes, also when they finish with no
+// admission behind them, but never one of the keepJobs newest, whose traces
+// all stay reachable; once the large results are gone, small ones are
+// evicted only by count.
+func TestJobTableResultBytes(t *testing.T) {
+	// Every large job returns the same 1 MiB document: the table counts
+	// each job's result bytes while the test holds one copy.
+	large := []byte(`"` + strings.Repeat("x", 1<<20-2) + `"`)
+	gate := make(chan struct{})
+	cfg := stubConfig(func(ctx context.Context, req SubmitRequest) ([]byte, error) {
+		if req.App == "maps" {
+			<-gate
+			return large, nil
+		}
+		return echoStub(ctx, req)
+	})
+	cfg.QueueSize = keepJobs + 44
+	s, c := start(t, cfg)
+	ctx := context.Background()
+	table := func() (jobs int, bytes int64) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.order), s.resultBytes
+	}
+	resolves := func(id string) bool {
+		_, err := c.Status(ctx, id)
+		return err == nil
+	}
+
+	// Every large job is admitted before any finishes, so only evictions
+	// as jobs finish can make room.
+	big := make([]string, keepJobs+44)
+	for i := range big {
+		st, err := c.Submit(ctx, SubmitRequest{App: "maps"})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		big[i] = st.ID
+	}
+	close(gate)
+	waitFor(t, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, id := range big {
+			if j := s.jobs[id]; j != nil && !j.terminal() {
+				return false
+			}
+		}
+		return true
+	})
+	for i, id := range big {
+		if want := i >= 44; resolves(id) != want {
+			t.Fatalf("large job %d of %d resolves=%v, want %v", i, len(big), !want, want)
+		}
+	}
+	if _, err := c.Trace(ctx, big[44], ""); err != nil {
+		t.Errorf("trace of the oldest retained job: %v", err)
+	}
+	if n, used := table(); n != keepJobs || used != keepJobs*int64(len(large)) {
+		t.Fatalf("table holds %d jobs and %d result bytes, want %d and %d", n, used, keepJobs, keepJobs*len(large))
+	}
+
+	small := make([]string, 2*keepJobs)
+	for i := range small {
+		st := submitAndWait(t, c, SubmitRequest{App: "acrobat"})
+		if st.State != StateSucceeded {
+			t.Fatalf("small job %s ended %s", st.ID, st.State)
+		}
+		small[i] = st.ID
+	}
+	for _, id := range small {
+		if !resolves(id) {
+			t.Fatalf("small job %s evicted with the table under its byte budget", id)
+		}
+	}
+	kept := 0
+	for i, id := range big {
+		if resolves(id) {
+			kept++
+		} else if kept > 0 {
+			t.Fatalf("large job %d evicted before an older one", i)
+		}
+	}
+	if n, used := table(); used > maxResultBytes || kept*len(large) > maxResultBytes || n != len(small)+kept {
+		t.Fatalf("table holds %d jobs (%d large) and %d result bytes, want at most %d bytes", n, kept, used, maxResultBytes)
+	}
+}
+
 // TestPanicIsolation: a panicking workload fails its own job with the panic
 // message and the daemon keeps serving the next one.
 func TestPanicIsolation(t *testing.T) {

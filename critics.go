@@ -247,10 +247,10 @@ func OptimizeAppContext(ctx context.Context, name string, opts ...Option) (*Repo
 	return rep, err
 }
 
-// optimizeApp is the shared pipeline behind OptimizeApp and TraceApp;
-// collect keeps per-instruction records on the two measurements so a trace
-// export can follow from the memo cache.
-func optimizeApp(ctx context.Context, name string, collect bool, opts ...Option) (rep *Report, rec *exp.Context, err error) {
+// optimizeApp is the shared pipeline behind OptimizeApp and TraceApp. It
+// returns the baseline and CritIC measurements with the report; collect
+// keeps their per-instruction records for a trace export.
+func optimizeApp(ctx context.Context, name string, collect bool, opts ...Option) (rep *Report, ms []*exp.Measurement, err error) {
 	app, ok := workload.FindApp(name)
 	if !ok {
 		return nil, nil, fmt.Errorf("critics: unknown app %q (mobile apps: %v)", name, Apps())
@@ -279,14 +279,16 @@ func optimizeApp(ctx context.Context, name string, collect bool, opts ...Option)
 		return nil, nil, err
 	}
 
-	mBase := ec.MeasureVariant(app, baseKind, ec.FrontendConfig(app, baseKind, ec.L1IPolicy), collect)
+	// The two binaries have distinct traces, so the sweep measures them as
+	// two concurrent groups.
+	ms = ec.MeasureSweep(app, []exp.MeasureUnit{
+		{Kind: baseKind, Cfg: ec.FrontendConfig(app, baseKind, ec.L1IPolicy)},
+		{Kind: critKind, Cfg: ec.FrontendConfig(app, critKind, ec.L1IPolicy)},
+	}, collect)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	mOpt := ec.MeasureVariant(app, critKind, ec.FrontendConfig(app, critKind, ec.L1IPolicy), collect)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
+	mBase, mOpt := ms[0], ms[1]
 
 	eBase := energy.Compute(&mBase.Res, energy.DefaultConfig())
 	eOpt := energy.Compute(&mOpt.Res, energy.DefaultConfig())
@@ -310,7 +312,7 @@ func optimizeApp(ctx context.Context, name string, collect bool, opts ...Option)
 		SpeedupPct:            exp.Speedup(mBase, mOpt),
 		SystemEnergySavingPct: sav.TotalPct,
 		CPUEnergySavingPct:    sav.CPUOnlyPct,
-	}, ec, nil
+	}, ms, nil
 }
 
 // Chrome-trace process ids of TraceApp's cycle-domain pipeline timelines
@@ -339,15 +341,11 @@ func TraceAppContext(ctx context.Context, name string, w io.Writer, opts ...Opti
 	tr := telemetry.NewTracer(w)
 	tr.MetaProcessName(telemetry.EnginePID, "engine (wall-clock µs)")
 	opts = append(opts, WithTracer(tr))
-	rep, ec, err := optimizeApp(ctx, name, true, opts...)
+	rep, ms, err := optimizeApp(ctx, name, true, opts...)
 	if err != nil {
 		return nil, err
 	}
-	app, _ := workload.FindApp(name)
-	baseKind := exp.FrontendKind(exp.VarBase, ec.CodeLayout)
-	critKind := exp.FrontendKind(exp.VarCritIC, ec.CodeLayout)
-	mBase := ec.MeasureVariant(app, baseKind, ec.FrontendConfig(app, baseKind, ec.L1IPolicy), true)
-	mOpt := ec.MeasureVariant(app, critKind, ec.FrontendConfig(app, critKind, ec.L1IPolicy), true)
+	mBase, mOpt := ms[0], ms[1]
 	cpu.ExportWindow(tr, baselinePID, name+" baseline pipeline (ts in cycles)", mBase.Dyns, mBase.Res.Records)
 	cpu.ExportWindow(tr, criticPID, name+" critic pipeline (ts in cycles)", mOpt.Dyns, mOpt.Res.Records)
 	if err := tr.Close(); err != nil {

@@ -417,8 +417,6 @@ func (s *Sim) RunStream(st Stream) Result {
 
 		committed int64
 		instrs    int64
-
-		decodeBlockedUntil int64
 	)
 
 	// Sliding window: dyn/fan/rec cover absolute indices [winBase, hi).
@@ -697,38 +695,36 @@ func (s *Sim) RunStream(st Stream) Result {
 		// pushing the back-pressure into the fetch buffer where it is
 		// attributed as F.StallForR+D.
 		renameQCap := 2 * s.cfg.RenameWidth
-		if now >= decodeBlockedUntil {
-			slots := s.cfg.DecodeWidth
-			for slots > 0 && size(&fetchBuf) > 0 && size(&renameQ) < renameQCap {
-				idx := int(front(&fetchBuf))
-				d := dynAt(idx)
-				r := recAt(idx)
-				if r.Fetched >= now {
+		slots := s.cfg.DecodeWidth
+		for slots > 0 && size(&fetchBuf) > 0 && size(&renameQ) < renameQCap {
+			idx := int(front(&fetchBuf))
+			d := dynAt(idx)
+			r := recAt(idx)
+			if r.Fetched >= now {
+				break
+			}
+			pop(&fetchBuf)
+			slots--
+			r.DecodeDone = now
+			if d.IsCDP {
+				// The mode switch is consumed by the decoder; it
+				// never enters the ROB. Charge the conservative
+				// 1-cycle decoder bubble.
+				r.Dispatched = now
+				r.Issued = now
+				r.Done = now
+				r.Committed = now
+				committed++
+				retire(idx, d, r)
+				if s.cfg.CDPExtraDecodeCycle {
+					// The mode switch flushes the rest of this
+					// decode group (a sub-cycle bubble); decoding
+					// resumes next cycle in the new mode.
 					break
 				}
-				pop(&fetchBuf)
-				slots--
-				r.DecodeDone = now
-				if d.IsCDP {
-					// The mode switch is consumed by the decoder; it
-					// never enters the ROB. Charge the conservative
-					// 1-cycle decoder bubble.
-					r.Dispatched = now
-					r.Issued = now
-					r.Done = now
-					r.Committed = now
-					committed++
-					retire(idx, d, r)
-					if s.cfg.CDPExtraDecodeCycle {
-						// The mode switch flushes the rest of this
-						// decode group (a sub-cycle bubble); decoding
-						// resumes next cycle in the new mode.
-						break
-					}
-					continue
-				}
-				push(&renameQ, int32(idx))
+				continue
 			}
+			push(&renameQ, int32(idx))
 		}
 
 		// ---- Fetch ----

@@ -372,7 +372,9 @@ func (c *Coordinator) probe(url string) bool {
 
 // pickWorker chooses the healthy worker with the fewest in-flight tasks,
 // breaking ties by registration order (deterministic, so tests can predict
-// routing), skipping URLs in exclude.
+// routing), skipping URLs in exclude, and reserves a task slot on it under
+// the same lock, so tasks dispatched together spread over idle workers. The
+// caller must hand the worker to post, which releases the slot.
 func (c *Coordinator) pickWorker(exclude map[string]bool) *workerState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -389,7 +391,18 @@ func (c *Coordinator) pickWorker(exclude map[string]bool) *workerState {
 			best, bestLoad = w, load
 		}
 	}
+	if best != nil {
+		best.addInflight(1)
+	}
 	return best
+}
+
+// addInflight moves a worker's in-flight task count and its gauge by d.
+func (w *workerState) addInflight(d int64) {
+	w.inflightN.Add(d)
+	if w.inflightG != nil {
+		w.inflightG.Add(d)
+	}
 }
 
 // errPermanent wraps worker 4xx responses: the task itself is bad, so trying
@@ -622,8 +635,10 @@ func (c *Coordinator) tryWorker(ctx context.Context, w *workerState, task Task, 
 // error, timeout) → transient, and the worker is marked unhealthy so the
 // heartbeat, not the dispatch path, decides when it is trusted again. A
 // non-empty legID propagates trace context on the wire (the worker records
-// its spans against it and returns them in the result).
+// its spans against it and returns them in the result). post releases the
+// task slot pickWorker reserved on w, on every path.
 func (c *Coordinator) post(ctx context.Context, w *workerState, task Task, traceID, legID string) (*TaskResult, error) {
+	defer w.addInflight(-1)
 	body, err := json.Marshal(task)
 	if err != nil {
 		return nil, errPermanent{fmt.Errorf("dist: encoding task: %w", err)}
@@ -638,19 +653,9 @@ func (c *Coordinator) post(ctx context.Context, w *workerState, task Task, trace
 		req.Header.Set(obs.ParentHeader, legID)
 	}
 
-	w.inflightN.Add(1)
-	if w.inflightG != nil {
-		w.inflightG.Add(1)
-	}
 	if c.met != nil {
 		c.met.dispatched.Inc()
 	}
-	defer func() {
-		w.inflightN.Add(-1)
-		if w.inflightG != nil {
-			w.inflightG.Add(-1)
-		}
-	}()
 
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {

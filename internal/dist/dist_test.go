@@ -173,6 +173,46 @@ func TestRetryOntoDifferentWorker(t *testing.T) {
 	}
 }
 
+// TestPickWorkerReservesSlot: a pick reserves the chosen worker's task slot
+// under the fleet lock, so two tasks dispatched together (no post between
+// their picks) go to different idle workers, and post gives the slot back on
+// every path, the early error returns included.
+func TestPickWorkerReservesSlot(t *testing.T) {
+	w1, w2 := newStubWorker(t), newStubWorker(t)
+	c := NewCoordinator(testConfig(telemetry.NewRegistry()))
+	defer c.Close()
+	c.AddWorker(w1.srv.URL)
+	c.AddWorker(w2.srv.URL)
+
+	a, b := c.pickWorker(nil), c.pickWorker(nil)
+	if a == nil || b == nil {
+		t.Fatal("no healthy worker picked")
+	}
+	if a == b {
+		t.Fatalf("both picks chose %s: the first pick's slot was not reserved", a.url)
+	}
+	for _, w := range []*workerState{a, b} {
+		if _, err := c.post(context.Background(), w, Task{Req: measureReq()}, "", ""); err != nil {
+			t.Fatalf("post to %s: %v", w.url, err)
+		}
+	}
+	for _, ws := range c.Workers() {
+		if ws.Inflight != 0 || ws.TasksDone != 1 {
+			t.Fatalf("worker %s: %d in flight and %d done after its post, want 0 and 1", ws.URL, ws.Inflight, ws.TasksDone)
+		}
+	}
+
+	// A URL the request cannot be built from fails before anything is sent.
+	bad := &workerState{url: "http://bad host"}
+	bad.addInflight(1)
+	if _, err := c.post(context.Background(), bad, Task{Req: measureReq()}, "", ""); err == nil {
+		t.Fatal("post to an unparsable URL succeeded")
+	}
+	if n := bad.inflightN.Load(); n != 0 {
+		t.Fatalf("%d slots still reserved after an early post error, want 0", n)
+	}
+}
+
 // TestPermanentErrorNotRetried: a 4xx task response means the request itself
 // is bad; dispatch must not burn attempts on other workers.
 func TestPermanentErrorNotRetried(t *testing.T) {

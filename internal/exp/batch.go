@@ -3,6 +3,8 @@ package exp
 import (
 	"context"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"critics/internal/cpu"
 	"critics/internal/obs"
@@ -11,86 +13,16 @@ import (
 )
 
 // MeasureBatch measures machine configurations of one (app, variant)
-// through the memo cache. It is the one memoized measurement path;
-// MeasureVariant is its one-configuration case. Each configuration's key
-// covers everything the result depends on: workload seed and generator
-// parameters (a.Params), compiler configuration (kind), machine
-// configuration (telemetry sink stripped), collect mode, and the context's
-// window/profiling scale. Results are positional and shared, so callers
-// must treat them as read-only; under a cancelled run context they may be
-// nil.
-//
-// Every distinct key gets one memo lookup, in order. The first lookup that
-// misses builds its configuration together with every later configuration
-// not yet cached, as lanes of one measure call (one trace pass feeding
-// lockstep cpu.BatchSim lanes — the shape of the fig10/fig11/fig12/fig13
-// design-space sweeps); the later lookups publish those lanes under their
-// own keys. A lane is bit-identical to a one-lane build, so grouping only
-// changes build strategy: later single-variant lookups hit the same
-// entries, and distributed workers never see a new request shape. With a
-// Remote attached each miss is dispatched as its own MeasureRequest, and a
-// miss the fleet cannot serve is built locally as one lane.
+// through the memo cache: the one-kind case of MeasureSweep, whose group
+// schedule it follows (see there for the memo and lane contract). Results
+// are positional and shared, so callers must treat them as read-only; under
+// a cancelled run context they may be nil.
 func (c *Context) MeasureBatch(a workload.App, kind string, cfgs []cpu.Config, collect bool) []*Measurement {
-	// Sweep-sized key sets stay on the stack: a single-variant memo hit
-	// allocates only its key, its label and the result slice.
-	var kbuf [8]sched.Key
-	keys := kbuf[:0]
-	for _, cfg := range cfgs {
-		// Telemetry sinks never participate in cache identity; measure
-		// re-attaches the context's sink to each lane.
-		cfg.Metrics = nil
-		keys = append(keys, sched.KeyOf("meas", a.Params, kind, cfg, collect,
-			c.Seed, c.WarmupArch, c.WarmArch, c.MeasureArch, c.ProfilePlan, c.HighFanout))
-	}
-	label := "measure " + a.Params.Name + "/" + kind
-	out := make([]*Measurement, len(cfgs))
-	var built map[sched.Key]*Measurement // lanes measured ahead of their own lookup
+	units := make([]MeasureUnit, len(cfgs))
 	for i := range cfgs {
-		if j := slices.Index(keys, keys[i]); j < i {
-			out[i] = out[j] // a repeated configuration shares its first result
-			continue
-		}
-		if out[i] != nil {
-			continue // served by the peek of an earlier miss's lane planning
-		}
-		out[i] = memoGet(c, c.caches.meas, label, keys[i], func() *Measurement {
-			if m, ok := built[keys[i]]; ok {
-				return m
-			}
-			if c.remote != nil {
-				if m, served := c.measureRemote(a, kind, cfgs[i], collect, label, keys[i]); served {
-					return m
-				}
-				defer c.fallbackSpan(label, keys[i])()
-			}
-			// This miss's lanes: itself plus every later configuration that
-			// is neither a repeat nor cached. A peeked hit is served here,
-			// which is that key's one lookup.
-			lanes := []int{i}
-			for j := i + 1; j < len(cfgs) && c.remote == nil && !c.serialSweeps; j++ {
-				if slices.Contains(keys[:j], keys[j]) {
-					continue
-				}
-				if m, ok := c.caches.meas.Peek(keys[j]); ok {
-					out[j] = m
-					continue
-				}
-				lanes = append(lanes, j)
-			}
-			laneCfgs := make([]cpu.Config, len(lanes))
-			for k, j := range lanes {
-				laneCfgs[k] = cfgs[j]
-			}
-			p, _ := c.Variant(a, kind)
-			ms := c.measure(p, laneCfgs, collect)
-			built = make(map[sched.Key]*Measurement, len(lanes))
-			for k, j := range lanes {
-				built[keys[j]] = ms[k]
-			}
-			return ms[0]
-		}, measurementCost)
+		units[i] = MeasureUnit{Kind: kind, Cfg: cfgs[i]}
 	}
-	return out
+	return c.MeasureSweep(a, units, collect)
 }
 
 // measureRemote dispatches one configuration's MeasureRequest to the
@@ -144,34 +76,206 @@ type MeasureUnit struct {
 	Cfg  cpu.Config
 }
 
-// MeasureSweep measures a set of units for one app, batching the units that
-// share a trace key: the generated trace depends on the compiled program
-// (kind), not the machine, so all configurations of one kind ride a single
-// MeasureBatch build. Groups follow first-appearance order and results are
-// positional, so callers index them exactly as they listed the units. Sweeps
-// whose units are all distinct kinds (one machine each) degenerate to the
-// plain memoized path — batching only ever changes build strategy, never
-// results.
+// MeasureSweep measures a set of units for one app through the memo cache.
+// It is the one memoized measurement path: MeasureBatch and MeasureVariant
+// are its one-kind and one-unit cases. Each unit's key covers everything the
+// result depends on: workload seed and generator parameters (a.Params),
+// compiler configuration (kind), machine configuration (telemetry sink
+// stripped), collect mode, and the context's window/profiling scale. Results
+// are positional, so callers index them exactly as they listed the units;
+// they are shared, so callers must treat them as read-only; under a
+// cancelled run context they may be nil.
+//
+// The generated trace depends on the compiled program (kind), not the
+// machine, so the units of one kind form a group that shares a trace. Within
+// a group every distinct key gets one memo lookup, in order. The first
+// lookup that misses builds its configuration together with every later
+// configuration of the group not yet cached, as lanes of one measure call
+// (one trace pass feeding lockstep cpu.BatchSim lanes — the shape of the
+// fig10/fig11/fig12/fig13 design-space sweeps); the later lookups publish
+// those lanes under their own keys. A lane is bit-identical to a one-lane
+// build, so grouping only changes build strategy: later single-variant
+// lookups hit the same entries, and distributed workers never see a new
+// request shape. With a Remote attached each miss is dispatched as its own
+// MeasureRequest, and a miss the fleet cannot serve is built locally as one
+// lane.
+//
+// Groups are independent, so they run concurrently: at most c.workers()
+// groups of one call are in flight (the bound is per call: sweeps nest
+// inside forEach shards). Groups whose units are all retained in the memo are
+// looked up first on the caller's goroutine, which starts nothing; with
+// Workers == 1 every group runs on the caller's goroutine in first-appearance
+// order, the reference schedule. A group's panic is re-raised on the
+// caller's goroutine, and once the run context is cancelled no further group
+// starts.
 func (c *Context) MeasureSweep(a workload.App, units []MeasureUnit, collect bool) []*Measurement {
+	// Sweep-sized plans stay on the stack: an all-cached sweep allocates
+	// only its keys' boxed configurations, one label per group and the
+	// result slice.
+	var kbuf [8]sched.Key
+	var gbuf [8]int
 	out := make([]*Measurement, len(units))
-	byKind := make(map[string][]int, len(units))
-	var kinds []string
-	for i, u := range units {
-		if _, ok := byKind[u.Kind]; !ok {
-			kinds = append(kinds, u.Kind)
+	s := sweep{units: units, keys: kbuf[:0], group: gbuf[:0], collect: collect, out: out}
+	for i := range units {
+		// Telemetry sinks never participate in cache identity; measure
+		// re-attaches the context's sink to each lane.
+		cfg := units[i].Cfg
+		cfg.Metrics = nil
+		s.keys = append(s.keys, sched.KeyOf("meas", a.Params, units[i].Kind, cfg, collect,
+			c.Seed, c.WarmupArch, c.WarmArch, c.MeasureArch, c.ProfilePlan, c.HighFanout))
+		g := s.groups
+		for j := range i {
+			if units[j].Kind == units[i].Kind {
+				g = s.group[j]
+				break
+			}
 		}
-		byKind[u.Kind] = append(byKind[u.Kind], i)
+		if g == s.groups {
+			s.groups++
+		}
+		s.group = append(s.group, g)
 	}
-	for _, kind := range kinds {
-		idx := byKind[kind]
-		cfgs := make([]cpu.Config, len(idx))
-		for bi, i := range idx {
-			cfgs[bi] = units[i].Cfg
+
+	// Serially, every group runs here in order. Otherwise only the groups
+	// that cannot build do, and the rest are handed to measureGroups.
+	concurrent := min(c.workers(), s.groups) > 1
+	var pbuf [8]int
+	pending := pbuf[:0]
+	for g := range s.groups {
+		if concurrent && !c.groupCached(&s, g) {
+			pending = append(pending, g)
+		} else if c.Err() == nil {
+			c.measureGroup(a, &s, g)
 		}
-		ms := c.MeasureBatch(a, kind, cfgs, collect)
-		for bi, i := range idx {
-			out[i] = ms[bi]
-		}
+	}
+	if len(pending) > 0 {
+		c.measureGroups(a, &s, out, pending, min(c.workers(), len(pending)))
 	}
 	return out
+}
+
+// sweep is one MeasureSweep call: the units, each unit's memo key and kind
+// group (groups numbered in first-appearance order), and the results. The
+// app travels beside it: it leaks into memo builds, and a leak through one
+// field would move the whole stack-held plan to the heap.
+type sweep struct {
+	units   []MeasureUnit
+	keys    []sched.Key
+	group   []int
+	groups  int
+	collect bool
+	out     []*Measurement
+}
+
+// groupCached reports whether every unit of group g is retained in the
+// measurement memo, so its lookups cannot build. It counts no lookup.
+func (c *Context) groupCached(s *sweep, g int) bool {
+	for i, k := range s.keys {
+		if s.group[i] == g && !c.caches.meas.Cached(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// measureGroups runs the pending groups of a sweep with at most w in flight:
+// the caller's goroutine and w-1 goroutines each claim the next group in
+// order until none is left or the run context is cancelled. It returns once
+// all have stopped, re-raising the panic of the first group that panicked.
+// It works on a copy of the plan, so the caller's stack-held plan never
+// escapes; the copy costs nothing next to the builds it schedules. out is
+// the plan's result slice, passed on its own for the same reason.
+func (c *Context) measureGroups(a workload.App, plan *sweep, out []*Measurement, pending []int, w int) {
+	s := &sweep{units: slices.Clone(plan.units), keys: slices.Clone(plan.keys),
+		group: slices.Clone(plan.group), collect: plan.collect, out: out}
+	todo := slices.Clone(pending)
+	panics := make([]any, len(todo))
+	var next atomic.Int64
+	lane := func() {
+		for {
+			n := int(next.Add(1) - 1)
+			if n >= len(todo) || c.Err() != nil {
+				return
+			}
+			func() {
+				defer func() { panics[n] = recover() }()
+				c.measureGroup(a, s, todo[n])
+			}()
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for range w - 1 {
+		go func() {
+			defer wg.Done()
+			lane()
+		}()
+	}
+	lane()
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
+// measureGroup looks up the units of group g in order, building misses as
+// lanes of one measure call (see MeasureSweep), and writes their results to
+// s.out.
+func (c *Context) measureGroup(a workload.App, s *sweep, g int) {
+	var label string
+	var built map[sched.Key]*Measurement // lanes measured ahead of their own lookup
+	for i := range s.units {
+		if s.group[i] != g {
+			continue
+		}
+		if j := slices.Index(s.keys, s.keys[i]); j < i {
+			s.out[i] = s.out[j] // a repeated unit shares its first result
+			continue
+		}
+		if s.out[i] != nil {
+			continue // served by the peek of an earlier miss's lane planning
+		}
+		kind := s.units[i].Kind
+		if label == "" {
+			label = "measure " + a.Params.Name + "/" + kind
+		}
+		s.out[i] = memoGet(c, c.caches.meas, label, s.keys[i], func() *Measurement {
+			if m, ok := built[s.keys[i]]; ok {
+				return m
+			}
+			if c.remote != nil {
+				if m, served := c.measureRemote(a, kind, s.units[i].Cfg, s.collect, label, s.keys[i]); served {
+					return m
+				}
+				defer c.fallbackSpan(label, s.keys[i])()
+			}
+			// This miss's lanes: itself plus every later unit of the group
+			// that is neither a repeat nor cached. A peeked hit is served
+			// here, which is that key's one lookup.
+			lanes := []int{i}
+			for j := i + 1; j < len(s.units) && c.remote == nil && !c.serialSweeps; j++ {
+				if s.group[j] != g || slices.Contains(s.keys[:j], s.keys[j]) {
+					continue
+				}
+				if m, ok := c.caches.meas.Peek(s.keys[j]); ok {
+					s.out[j] = m
+					continue
+				}
+				lanes = append(lanes, j)
+			}
+			laneCfgs := make([]cpu.Config, len(lanes))
+			for k, j := range lanes {
+				laneCfgs[k] = s.units[j].Cfg
+			}
+			p, _ := c.Variant(a, kind)
+			ms := c.measure(p, laneCfgs, s.collect)
+			built = make(map[sched.Key]*Measurement, len(lanes))
+			for k, j := range lanes {
+				built[s.keys[j]] = ms[k]
+			}
+			return ms[0]
+		}, measurementCost)
+	}
 }

@@ -33,13 +33,16 @@ func RunFig8(c *Context) *Fig8Result {
 	rows := make([]Fig8Row, len(apps))
 	c.forEach(len(apps), func(i int) {
 		a := apps[i]
-		base := c.MeasureVariant(a, VarBase, cpu.DefaultConfig(), false)
-
-		mBr := c.MeasureVariant(a, VarCritICBranch, cpu.DefaultConfig(), false)
-
 		freeCfg := cpu.DefaultConfig()
 		freeCfg.CDPExtraDecodeCycle = false
-		mIdeal := c.MeasureVariant(a, VarCritIC, freeCfg, false)
+		// Three binaries, three traces: the sweep measures them as
+		// concurrent groups.
+		ms := c.MeasureSweep(a, []MeasureUnit{
+			{VarBase, cpu.DefaultConfig()},
+			{VarCritICBranch, cpu.DefaultConfig()},
+			{VarCritIC, freeCfg},
+		}, false)
+		base, mBr, mIdeal := ms[0], ms[1], ms[2]
 
 		rows[i] = Fig8Row{
 			App:          a.Params.Name,

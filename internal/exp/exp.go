@@ -542,13 +542,13 @@ func (c *Context) windowSource(a workload.App, kind string, chunk int) *trace.Ge
 }
 
 // MeasureVariant measures one (app, variant, machine config) shard through
-// the memo cache: the one-configuration case of MeasureBatch. The baseline
+// the memo cache: the one-unit case of MeasureSweep. The baseline
 // trace/simulation for an app is computed once and reused by every
 // experiment that needs it (fig1a/fig3/fig10/...) instead of once per
 // figure. The returned Measurement is shared — callers must treat it as
 // read-only.
 func (c *Context) MeasureVariant(a workload.App, kind string, cfg cpu.Config, collect bool) *Measurement {
-	return c.MeasureBatch(a, kind, []cpu.Config{cfg}, collect)[0]
+	return c.MeasureSweep(a, []MeasureUnit{{Kind: kind, Cfg: cfg}}, collect)[0]
 }
 
 // MeasureRequest is the serializable description of one MeasureVariant call

@@ -48,15 +48,18 @@ func RunFig1a(c *Context) *Fig1aResult {
 			a := apps[i]
 			noPF := cpu.DefaultConfig()
 			noPF.Hier.CLPTEntries = 0
-			base := c.MeasureVariant(a, VarBase, noPF, false)
-
 			cfgPF := cpu.DefaultConfig()
 			cfgPF.CriticalLoadPrefetch = true
-			mPF := c.MeasureVariant(a, VarBase, cfgPF, false)
-
 			cfgPR := noPF
 			cfgPR.BackendPrio = true
-			mPR := c.MeasureVariant(a, VarBase, cfgPR, false)
+			// Three machines over the baseline binary's one trace: a 3-lane
+			// build.
+			ms := c.MeasureSweep(a, []MeasureUnit{
+				{VarBase, noPF},
+				{VarBase, cfgPF},
+				{VarBase, cfgPR},
+			}, false)
+			base, mPF, mPR := ms[0], ms[1], ms[2]
 
 			pf[i] = Speedup(base, mPF)
 			pr[i] = Speedup(base, mPR)

@@ -215,6 +215,23 @@ func (m *Memo[V]) GetChecked(k Key, build func() V, cost func(V) int64, valid fu
 // split a key set into cached and to-be-built subsets before deciding how to
 // build the misses.
 func (m *Memo[V]) Peek(k Key) (V, bool) {
+	v, ok := m.retained(k)
+	if ok {
+		m.hits.Add(1)
+	}
+	return v, ok
+}
+
+// Cached reports whether a completed value for k is retained, so that a
+// lookup of k would hit. Like Peek it never blocks or builds, but it counts
+// nothing: schedulers use it to decide where a lookup runs, not to serve it.
+func (m *Memo[V]) Cached(k Key) bool {
+	_, ok := m.retained(k)
+	return ok
+}
+
+// retained returns the value of k's completed, valid entry.
+func (m *Memo[V]) retained(k Key) (V, bool) {
 	m.mu.Lock()
 	e, ok := m.entries[k]
 	m.mu.Unlock()
@@ -222,7 +239,6 @@ func (m *Memo[V]) Peek(k Key) (V, bool) {
 		select {
 		case <-e.done:
 			if !e.bad {
-				m.hits.Add(1)
 				return e.val, true
 			}
 		default:

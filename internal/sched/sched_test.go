@@ -90,16 +90,16 @@ func TestMemoSingleFlight(t *testing.T) {
 func TestMemoPeek(t *testing.T) {
 	m := NewMemo[int](0)
 	k := KeyOf("x")
-	if _, ok := m.Peek(k); ok {
-		t.Error("peek hit on an empty memo")
+	if _, ok := m.Peek(k); ok || m.Cached(k) {
+		t.Error("peek or cached hit on an empty memo")
 	}
-	// Peek must not block on an in-flight build.
+	// Peek and Cached must not block on an in-flight build.
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go m.Get(k, func() int { close(started); <-release; return 7 }, nil)
 	<-started
-	if _, ok := m.Peek(k); ok {
-		t.Error("peek hit on an in-flight build")
+	if _, ok := m.Peek(k); ok || m.Cached(k) {
+		t.Error("peek or cached hit on an in-flight build")
 	}
 	close(release)
 	m.Get(k, func() int { return 7 }, nil) // join/observe the finished build
@@ -111,6 +111,12 @@ func TestMemoPeek(t *testing.T) {
 	m.Peek(k)
 	if m.Stats().Hits != hitsBefore+1 {
 		t.Error("successful peek did not count as a hit")
+	}
+	if !m.Cached(k) {
+		t.Error("cached missed a retained value")
+	}
+	if m.Stats().Hits != hitsBefore+1 {
+		t.Error("cached counted a hit")
 	}
 }
 

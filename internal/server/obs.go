@@ -45,23 +45,22 @@ func (s *Server) dequeueJob(j *job) {
 	s.obsv.Ring.Append(j.id, obs.EvDequeued, fmt.Sprintf("waited %s", (time.Duration(wait)*time.Microsecond).Round(time.Microsecond)))
 }
 
-// finishJob records the job's terminal state on its trace: the "compute" span
-// (computeStart taken just before execute ran), the root "job" span, the
-// compute and e2e SLO stages, and the terminal flight-recorder event. A
-// failed job additionally dumps its flight-recorder events to the log, so a
-// postmortem starts with the sequence of events in hand.
-func (s *Server) finishJob(j *job, computeStart int64) {
+// endJobTrace records the job's root "job" span and its "compute" span
+// (computeStart taken just before execute ran) with the terminal state, and
+// returns the end time. runJob calls it from finish's accounting callback,
+// under the job lock, so a reader that sees the job terminal also finds the
+// root span on its trace; it must not take the job lock (no j.Status).
+func (s *Server) endJobTrace(j *job, computeStart int64, state JobState) int64 {
 	t := j.trace
 	if t == nil {
-		return
+		return 0
 	}
 	now := t.Now()
 	t.Add(obs.Span{
 		ID: "compute", Parent: "job", Name: "compute",
 		StartUS: computeStart, DurUS: now - computeStart,
 	})
-	st := j.Status()
-	attrs := []obs.Attr{obs.A("kind", string(j.req.Kind)), obs.A("state", string(st.State))}
+	attrs := []obs.Attr{obs.A("kind", string(j.req.Kind)), obs.A("state", string(state))}
 	if j.req.App != "" {
 		attrs = append(attrs, obs.A("app", j.req.App))
 	}
@@ -69,6 +68,18 @@ func (s *Server) finishJob(j *job, computeStart int64) {
 		attrs = append(attrs, obs.A("experiment", j.req.Experiment))
 	}
 	t.Add(obs.Span{ID: "job", Name: "job", StartUS: 0, DurUS: now, Attrs: attrs})
+	return now
+}
+
+// finishJob observes a finished job's compute and e2e SLO stages (its trace
+// ended at now) and appends its terminal flight-recorder event. A failed job
+// additionally dumps its flight-recorder events to the log, so a postmortem
+// starts with the sequence of events in hand.
+func (s *Server) finishJob(j *job, computeStart, now int64) {
+	if j.trace == nil {
+		return
+	}
+	st := j.Status()
 	s.obsv.Stages.Observe(obs.StageCompute, float64(now-computeStart)/1e6, j.id)
 	s.obsv.Stages.Observe(obs.StageE2E, float64(now)/1e6, j.id)
 

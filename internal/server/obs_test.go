@@ -96,6 +96,47 @@ func TestJobTrace(t *testing.T) {
 	}
 }
 
+// TestTerminalJobHasRootSpan: a job's root span is on its trace as soon as
+// any reader can see the job terminal. The test holds the job table lock,
+// which the worker takes again only after the job has turned terminal, and
+// reads the job's trace in that window.
+func TestTerminalJobHasRootSpan(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	s, c := start(t, stubConfig(func(ctx context.Context, req SubmitRequest) ([]byte, error) {
+		close(started)
+		<-release
+		return echoStub(ctx, req)
+	}))
+	st, err := c.Submit(context.Background(), SubmitRequest{Kind: KindOptimize, App: "acrobat"})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	<-started
+
+	root, terminal := func() (root, terminal bool) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		j := s.jobs[st.ID]
+		close(release)
+		for deadline := time.Now().Add(10 * time.Second); !j.terminal(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				return false, false
+			}
+		}
+		spans, _ := s.obsv.Rec.Get(st.ID).Snapshot()
+		for _, sp := range spans {
+			root = root || sp.ID == "job"
+		}
+		return root, true
+	}()
+	if !terminal {
+		t.Fatal("job did not turn terminal while the job table was locked")
+	}
+	if !root {
+		t.Fatal("job turned terminal before its root span was on its trace")
+	}
+}
+
 // TestTraceUnknownJob pins the 404s: unknown job ids and (separately) jobs
 // whose trace was evicted.
 func TestTraceUnknownJob(t *testing.T) {

@@ -312,15 +312,17 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		// may hit warm caches and finish in time.
 		retry = errors.Is(err, context.DeadlineExceeded)
 	}
+	var end int64
 	j.finish(result, msg, retry, func(state JobState) {
 		outcome := string(state)
 		if panicked {
 			outcome = "panic"
 		}
 		s.metrics.outcomes(outcome).Inc()
+		end = s.endJobTrace(j, computeStart, state)
 	})
 	s.retainResult(j)
-	s.finishJob(j, computeStart)
+	s.finishJob(j, computeStart, end)
 
 	st := j.Status()
 	s.log.Info("job done", "id", j.id, "state", st.State, "err", msg,

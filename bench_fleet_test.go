@@ -40,18 +40,20 @@ func BenchmarkSketchMerge(b *testing.B) {
 }
 
 // BenchmarkSketchDecode measures the strict wire decoder on a consensus-size
-// sketch — the per-request cost of POST /v1/profiles before admission.
+// sketch, decoding into one reused sketch as the fleet service's recycled
+// sketches do — the per-request cost of POST /v1/profiles before admission.
 func BenchmarkSketchDecode(b *testing.B) {
 	acc := sketch.New(fleetBenchSketches()[0].App)
 	for _, sk := range fleetBenchSketches() {
 		acc.Merge(sk)
 	}
 	wire := acc.Encode()
+	var into sketch.Sketch
 	b.SetBytes(int64(len(wire)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sketch.Decode(wire); err != nil {
+		if err := into.UnmarshalBinary(wire); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -61,14 +61,14 @@ func (cfg Config) Validate() error {
 
 // Line is one cache line. Tag matching and fill timing (the unexported
 // fields) belong to the Cache; LastUse and RRPV are the replacement state a
-// Policy owns.
+// Policy owns. The small fields lead, so a line packs into 24 bytes.
 type Line struct {
-	tag     uint32
-	valid   bool
-	readyAt int64
+	tag   uint32
+	valid bool
+	RRPV  uint8 // 2-bit re-reference prediction value (srrip/trrip)
 
+	readyAt int64
 	LastUse int64 // recency timestamp (lru)
-	RRPV    uint8 // 2-bit re-reference prediction value (srrip/trrip)
 }
 
 // Valid reports whether the line holds data.
@@ -78,7 +78,8 @@ func (l *Line) Valid() bool { return l.valid }
 type Cache struct {
 	cfg   Config
 	pol   Policy
-	sets  [][]Line
+	lines []Line // every set's ways, set s at [s*ways, (s+1)*ways)
+	ways  uint32
 	shift uint
 	mask  uint32
 
@@ -102,35 +103,37 @@ func newCacheHints(cfg Config, temps *TempHints) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / (cfg.Ways * LineBytes)
-	c := &Cache{cfg: cfg, pol: pol, sets: make([][]Line, nsets), mask: uint32(nsets - 1)}
-	for i := range c.sets {
-		c.sets[i] = make([]Line, cfg.Ways)
-	}
+	c := &Cache{cfg: cfg, pol: pol, lines: make([]Line, nsets*cfg.Ways), ways: uint32(cfg.Ways), mask: uint32(nsets - 1)}
 	c.shift = 6 // log2(LineBytes)
 	return c
+}
+
+// set returns the ways of set s, capped so that no append reaches the next
+// set.
+func (c *Cache) set(s uint32) []Line {
+	lo, hi := s*c.ways, (s+1)*c.ways
+	return c.lines[lo:hi:hi]
 }
 
 // Policy exposes the cache's replacement policy (tests, diagnostics).
 func (c *Cache) Policy() Policy { return c.pol }
 
-// lookup finds the way holding addr's line, or -1.
-func (c *Cache) lookup(addr uint32) (set uint32, way int) {
+// lookup finds the line holding addr, or nil.
+func (c *Cache) lookup(addr uint32) *Line {
 	lineAddr := addr >> c.shift
-	set = lineAddr & c.mask
 	tag := lineAddr // full line address as tag: simple and unambiguous
-	for w := range c.sets[set] {
-		l := &c.sets[set][w]
-		if l.valid && l.tag == tag {
-			return set, w
+	ways := c.set(lineAddr & c.mask)
+	for w := range ways {
+		if l := &ways[w]; l.valid && l.tag == tag {
+			return l
 		}
 	}
-	return set, -1
+	return nil
 }
 
 // Probe reports whether addr's line is present (no state change, no stats).
 func (c *Cache) Probe(addr uint32) bool {
-	_, way := c.lookup(addr)
-	return way >= 0
+	return c.lookup(addr) != nil
 }
 
 // Access looks up addr at cycle now. It returns (hit, readyAt): on a hit,
@@ -139,12 +142,11 @@ func (c *Cache) Probe(addr uint32) bool {
 // and compute readyAt from the lower level.
 func (c *Cache) Access(addr uint32, now int64) (bool, int64) {
 	c.Accesses++
-	set, way := c.lookup(addr)
-	if way < 0 {
+	l := c.lookup(addr)
+	if l == nil {
 		c.Misses++
 		return false, 0
 	}
-	l := &c.sets[set][way]
 	c.pol.Hit(l, now)
 	ready := now + c.cfg.HitLat
 	if l.readyAt > ready {
@@ -158,18 +160,18 @@ func (c *Cache) Access(addr uint32, now int64) (bool, int64) {
 // victim.
 func (c *Cache) Install(addr uint32, readyAt int64) {
 	lineAddr := addr >> c.shift
-	set := lineAddr & c.mask
+	ways := c.set(lineAddr & c.mask)
 	victim := -1
-	for w := range c.sets[set] {
-		if !c.sets[set][w].valid {
+	for w := range ways {
+		if !ways[w].valid {
 			victim = w
 			break
 		}
 	}
 	if victim < 0 {
-		victim = c.pol.Victim(c.sets[set])
+		victim = c.pol.Victim(ways)
 	}
-	l := &c.sets[set][victim]
+	l := &ways[victim]
 	*l = Line{tag: lineAddr, valid: true, readyAt: readyAt, LastUse: readyAt}
 	c.pol.Install(l, lineAddr, readyAt)
 }

@@ -2,12 +2,21 @@ package cache
 
 import (
 	"testing"
+	"unsafe"
 
 	"critics/internal/dram"
 )
 
 func small() *Cache {
 	return NewCache(Config{SizeBytes: 1024, Ways: 2, HitLat: 2}) // 8 sets
+}
+
+// TestLinePacks pins Line's layout: the 4-, 1- and 1-byte fields share one
+// word ahead of the two timestamps.
+func TestLinePacks(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 24 {
+		t.Errorf("Line is %d bytes, want 24", n)
+	}
 }
 
 func TestCacheHitMiss(t *testing.T) {

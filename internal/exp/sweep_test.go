@@ -155,3 +155,33 @@ func TestCancelledSweepRetainsNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestRunDeadlineInsideShard: a run whose deadline expires while shards are
+// running on a 4-worker pool returns the context error, or the full output
+// when it finished in time. A shard that fails on the cancelled context
+// panics on a pool goroutine; that panic must reach RunContext's recover,
+// not kill the process.
+func TestRunDeadlineInsideShard(t *testing.T) {
+	var full string
+	for _, d := range []time.Duration{5, 10, 20, 40, 80} {
+		c := QuickContext()
+		c.Workers = 4
+		ctx, cancel := context.WithTimeout(context.Background(), d*time.Millisecond)
+		out, err := RunContext(ctx, "fig8", c)
+		cancel()
+		if err != nil {
+			if !errors.Is(err, context.DeadlineExceeded) || out != "" {
+				t.Errorf("deadline %v: got %q, %v; want no output and the context error", d*time.Millisecond, out, err)
+			}
+			continue
+		}
+		if full == "" {
+			if full, err = Run("fig8", QuickContext()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out != full {
+			t.Errorf("deadline %v: completed run differs from an uncancelled one", d*time.Millisecond)
+		}
+	}
+}

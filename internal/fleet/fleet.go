@@ -8,9 +8,12 @@
 // The ingest side mirrors criticd's admission-control philosophy: a
 // bounded queue accepts decoded sketches with a non-blocking send, a full
 // queue refuses with 429 + Retry-After at the HTTP layer, and a single
-// merger goroutine folds the queue into the consensus — so coordinator
-// memory is bounded by (queue depth × sketch size) + one consensus sketch
-// per app, regardless of fleet size. Raw traces never cross the wire.
+// merger goroutine folds the queue into the consensus. Requests decode into
+// sketches the service owns: Decode takes one from a free list, and the
+// merger puts it back after its join, so steady-state ingest allocates no
+// sketch. Coordinator memory is bounded by (queue depth + maxFree) × sketch
+// size + one consensus sketch per app, plus the requests being decoded,
+// regardless of fleet size. Raw traces never cross the wire.
 package fleet
 
 import (
@@ -19,7 +22,6 @@ import (
 	"log/slog"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"critics/internal/obs"
@@ -54,6 +56,10 @@ type appState struct {
 	rev       uint64 // merges that changed the consensus
 	sketches  uint64 // sketches merged (changed or not)
 	report    *Report
+
+	// The app's merge series, resolved by the merger on its first join.
+	sketchesM           *telemetry.Counter
+	revisionM, devicesM *telemetry.Gauge
 }
 
 // Service is the coordinator-side ingest pipeline: bounded queue in, one
@@ -63,13 +69,45 @@ type Service struct {
 	log *slog.Logger
 	m   *fleetMetrics
 
-	queue    chan *sketch.Sketch
-	wg       sync.WaitGroup
-	draining atomic.Bool
+	// queue holds admitted sketches, and free the decoded sketches the
+	// merger has finished with, for Decode to reuse. closed marks the queue
+	// closed by Drain; an offer holds admit across its send.
+	queue  chan queued
+	free   chan *sketch.Sketch
+	admit  sync.Mutex
+	closed bool
+	wg     sync.WaitGroup
 
 	mu   sync.Mutex
 	apps map[string]*appState
 }
+
+// queued is one admitted sketch; recycle marks one from Decode, which goes
+// back to the free list after its join.
+type queued struct {
+	sk      *sketch.Sketch
+	recycle bool
+}
+
+// Decoded is a sketch that Decode parsed into memory the service owns. Pass
+// it to OfferDecoded, or to Release when it is not to be merged; the sketch
+// itself stays private, since the service reuses it once merged.
+type Decoded struct {
+	App string // the sketch's app
+	sk  *sketch.Sketch
+}
+
+// maxFree bounds the free list, and with it the spare sketches an idle
+// coordinator keeps and the garbage collector counts as live. It covers an
+// ingest the merger keeps up with; the sketches of a longer backlog are
+// allocated, and collected once merged.
+const maxFree = 16
+
+// maxRecycledKeys bounds the key-list capacity of a sketch the free list
+// keeps: twice what a device builds. A sketch that decoded a larger list (a
+// merged sketch re-sent, or a hostile key count) is left to the collector,
+// so the free list's memory stays bounded by device-sized sketches.
+const maxRecycledKeys = 2 * sketch.MaxTrackedKeys
 
 // NewService builds the service and starts its merger goroutine.
 func NewService(cfg Config) *Service {
@@ -84,7 +122,8 @@ func NewService(cfg Config) *Service {
 		cfg:   cfg,
 		log:   log,
 		m:     newFleetMetrics(cfg.Registry),
-		queue: make(chan *sketch.Sketch, cfg.QueueSize),
+		queue: make(chan queued, cfg.QueueSize),
+		free:  make(chan *sketch.Sketch, min(cfg.QueueSize, maxFree)),
 		apps:  map[string]*appState{},
 	}
 	s.wg.Add(1)
@@ -92,25 +131,71 @@ func NewService(cfg Config) *Service {
 	return s
 }
 
-// Offer enqueues one decoded sketch without blocking. false means the queue
-// is full (or the service is draining) and the caller should shed load —
-// criticd answers 429 + Retry-After, and the device re-sends its (still
-// cumulative) sketch later, losing nothing.
-func (s *Service) Offer(sk *sketch.Sketch) bool {
-	if s.draining.Load() {
-		return false
+// Decode parses one wire-form sketch into a sketch from the free list, or a
+// new one when the list is empty. A sketch that fails to decode goes back
+// to the free list.
+func (s *Service) Decode(b []byte) (Decoded, error) {
+	var sk *sketch.Sketch
+	select {
+	case sk = <-s.free:
+	default:
+		sk = new(sketch.Sketch)
+	}
+	if err := sk.UnmarshalBinary(b); err != nil {
+		s.recycle(sk)
+		return Decoded{}, err
+	}
+	return Decoded{App: sk.App, sk: sk}, nil
+}
+
+// Release puts back a decoded sketch that will not be offered.
+func (s *Service) Release(d Decoded) { s.recycle(d.sk) }
+
+// recycle puts a decoded sketch on the free list, unless the list is full
+// or the sketch's key list outgrew maxRecycledKeys.
+func (s *Service) recycle(sk *sketch.Sketch) {
+	if cap(sk.Keys) > maxRecycledKeys {
+		return
 	}
 	select {
-	case s.queue <- sk:
-		s.m.queueDepth.Add(1)
-		return true
+	case s.free <- sk:
 	default:
-		s.m.rejected.Inc()
-		if s.cfg.Ring != nil {
-			s.cfg.Ring.Append("fleet:"+sk.App, obs.EvSketchRejected, "ingest queue full")
-		}
-		return false
 	}
+}
+
+// Offer enqueues one caller-built sketch without blocking. The service
+// never reuses it: the caller may offer it again or keep reading it. false
+// means the queue is full (or the service is draining) and the caller
+// should shed load — criticd answers 429 + Retry-After, and the device
+// re-sends its (still cumulative) sketch later, losing nothing.
+func (s *Service) Offer(sk *sketch.Sketch) bool { return s.offer(queued{sk: sk}) }
+
+// OfferDecoded is Offer for a sketch from Decode. The merger puts the sketch
+// back on the free list after its join, and a refused one goes back at once,
+// unmerged.
+func (s *Service) OfferDecoded(d Decoded) bool {
+	return s.offer(queued{sk: d.sk, recycle: true})
+}
+
+func (s *Service) offer(q queued) bool {
+	s.admit.Lock()
+	defer s.admit.Unlock()
+	if !s.closed {
+		select {
+		case s.queue <- q:
+			s.m.queueDepth.Add(1)
+			return true
+		default:
+			s.m.rejected.Inc()
+			if s.cfg.Ring != nil {
+				s.cfg.Ring.Append("fleet:"+q.sk.App, obs.EvSketchRejected, "ingest queue full")
+			}
+		}
+	}
+	if q.recycle {
+		s.recycle(q.sk)
+	}
+	return false
 }
 
 // merger is the single consumer: it folds queued sketches into the per-app
@@ -118,33 +203,42 @@ func (s *Service) Offer(sk *sketch.Sketch) bool {
 // the memory bound exact.
 func (s *Service) merger() {
 	defer s.wg.Done()
-	for sk := range s.queue {
+	for q := range s.queue {
 		s.m.queueDepth.Add(-1)
 		start := time.Now()
+		app := q.sk.App
 		s.mu.Lock()
-		st := s.apps[sk.App]
+		st := s.apps[app]
 		if st == nil {
-			st = &appState{consensus: sketch.New(sk.App)}
-			s.apps[sk.App] = st
+			st = &appState{consensus: sketch.New(app)}
+			s.apps[app] = st
 		}
-		changed := st.consensus.Merge(sk)
+		changed := st.consensus.Merge(q.sk)
 		if changed {
 			st.rev++
 		}
 		st.sketches++
 		rev, devices := st.rev, st.consensus.DevicesEstimate()
 		keys := len(st.consensus.Keys)
+		if st.sketchesM == nil {
+			st.sketchesM, st.revisionM, st.devicesM = s.m.sketches(app), s.m.revision(app), s.m.devices(app)
+		}
+		if q.recycle {
+			// A decode may reuse it from here on; recycling before the
+			// merge shows in Status means a merged sketch is on the list.
+			s.recycle(q.sk)
+		}
 		s.mu.Unlock()
 
 		s.m.mergeSeconds.Observe(time.Since(start).Seconds())
-		s.m.sketches(sk.App).Inc()
-		s.m.revision(sk.App).Set(int64(rev))
-		s.m.devices(sk.App).Set(int64(devices + 0.5))
+		st.sketchesM.Inc()
+		st.revisionM.Set(int64(rev))
+		st.devicesM.Set(int64(devices + 0.5))
 		if s.cfg.Ring != nil {
-			s.cfg.Ring.Append("fleet:"+sk.App, obs.EvSketchMerged,
+			s.cfg.Ring.Append("fleet:"+app, obs.EvSketchMerged,
 				fmt.Sprintf("rev=%d changed=%t keys=%d devices=%.0f", rev, changed, keys, devices))
 		}
-		s.log.Info("sketch merged", "app", sk.App, "rev", rev, "changed", changed, "keys", keys)
+		s.log.Info("sketch merged", "app", app, "rev", rev, "changed", changed, "keys", keys)
 	}
 }
 
@@ -233,9 +327,12 @@ func (s *Service) Status() []AppStatus {
 // Drain stops the service: new offers are refused, queued sketches are
 // merged, then the merger exits. Safe to call more than once.
 func (s *Service) Drain() {
-	if !s.draining.Swap(true) {
+	s.admit.Lock()
+	if !s.closed {
+		s.closed = true
 		close(s.queue)
 	}
+	s.admit.Unlock()
 	s.wg.Wait()
 	if s.cfg.Ring != nil {
 		s.cfg.Ring.Append("fleet:", obs.EvDrained, "fleet ingest drained")

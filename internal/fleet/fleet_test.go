@@ -6,6 +6,8 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,7 +113,7 @@ func TestOfferBackpressure(t *testing.T) {
 		cfg:   Config{QueueSize: 2},
 		log:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 		m:     newFleetMetrics(nil),
-		queue: make(chan *sketch.Sketch, 2),
+		queue: make(chan queued, 2),
 		apps:  map[string]*appState{},
 	}
 	sk := sketch.New("app")
@@ -122,6 +124,28 @@ func TestOfferBackpressure(t *testing.T) {
 		if s.Offer(sk) {
 			t.Fatal("offer accepted beyond capacity")
 		}
+	}
+}
+
+// TestOfferDuringDrain: offers racing a Drain are queued or refused, never
+// sent on the closed queue.
+func TestOfferDuringDrain(t *testing.T) {
+	sk := sketch.New("app")
+	for round := 0; round < 2000; round++ {
+		s := NewService(Config{QueueSize: 4})
+		var draining atomic.Bool
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for s.Offer(sk) || !draining.Load() {
+				}
+			}()
+		}
+		draining.Store(true)
+		s.Drain()
+		wg.Wait()
 	}
 }
 
@@ -179,5 +203,140 @@ func TestDistinctDevicesDistinctSketches(t *testing.T) {
 	a.Merge(b)
 	if est := a.DevicesEstimate(); est < 1.5 || est > 2.5 {
 		t.Errorf("devices estimate %.2f, want ~2", est)
+	}
+}
+
+// TestDecodedSketchesRecycle: a decoded sketch goes back to the free list
+// once merged and the next decode reuses it, while a caller-built sketch
+// passed to Offer is merged but never reused.
+func TestDecodedSketchesRecycle(t *testing.T) {
+	sks := deviceSketches(t, 3)
+	app := sks[0].App
+	s := NewService(Config{})
+	defer s.Drain()
+
+	own := sks[2]
+	ownBytes := own.Encode()
+	if !s.Offer(own) {
+		t.Fatal("offer refused")
+	}
+	waitSketches(t, s, app, 1)
+
+	d, err := s.Decode(sks[0].Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.sk == own {
+		t.Fatal("Decode reused a caller-built sketch")
+	}
+	if d.App != app {
+		t.Fatalf("decoded app %q, want %q", d.App, app)
+	}
+	first := d.sk
+	if !s.OfferDecoded(d) {
+		t.Fatal("offer refused")
+	}
+	waitSketches(t, s, app, 2)
+	d, err = s.Decode(sks[1].Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.sk != first {
+		t.Error("a merged decoded sketch was not reused by the next decode")
+	}
+	if !bytes.Equal(d.sk.Encode(), sks[1].Encode()) {
+		t.Error("decoding into a recycled sketch changed its bytes")
+	}
+	s.Release(d)
+	if !bytes.Equal(own.Encode(), ownBytes) {
+		t.Error("a caller-built sketch changed after its merge")
+	}
+
+	// A malformed body leaves nothing owned: its sketch is back on the list.
+	if _, err := s.Decode([]byte("CSK\x01 truncated")); err == nil {
+		t.Fatal("malformed sketch decoded")
+	}
+	if d, _ := s.Decode(sks[1].Encode()); d.sk != first {
+		t.Error("the sketch of a failed decode was not reused")
+	}
+}
+
+// TestRefusedOfferRecycles: a decoded sketch refused for a full queue, or by
+// a draining service, goes back to the free list unmerged.
+func TestRefusedOfferRecycles(t *testing.T) {
+	sks := deviceSketches(t, 2)
+	// No merger: the queue fills and stays full.
+	s := &Service{
+		cfg:   Config{QueueSize: 1},
+		log:   slog.New(slog.NewTextHandler(io.Discard, nil)),
+		m:     newFleetMetrics(nil),
+		queue: make(chan queued, 1),
+		free:  make(chan *sketch.Sketch, 1),
+		apps:  map[string]*appState{},
+	}
+	first, err := s.Decode(sks[0].Encode())
+	if err != nil || !s.OfferDecoded(first) {
+		t.Fatalf("first offer: %v", err)
+	}
+	refused, err := s.Decode(sks[1].Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.OfferDecoded(refused) {
+		t.Fatal("offer accepted beyond capacity")
+	}
+	if len(s.free) != 1 || <-s.free != refused.sk {
+		t.Error("the sketch refused for a full queue is not on the free list")
+	}
+
+	d := NewService(Config{})
+	if !d.Offer(sks[0]) {
+		t.Fatal("offer refused")
+	}
+	d.Drain()
+	before, _, _ := d.Consensus(sks[0].App)
+	refused, err = d.Decode(sks[1].Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.OfferDecoded(refused) {
+		t.Fatal("offer accepted while draining")
+	}
+	if len(d.free) != 1 || <-d.free != refused.sk {
+		t.Error("the sketch refused while draining is not on the free list")
+	}
+	after, _, _ := d.Consensus(sks[0].App)
+	if after.Digest() != before.Digest() {
+		t.Error("a refused sketch reached the consensus")
+	}
+}
+
+// TestConsensusSnapshotKeepsBytes: a snapshot taken before a later join is
+// unaffected by it, although the consensus reuses its key lists.
+func TestConsensusSnapshotKeepsBytes(t *testing.T) {
+	sks := deviceSketches(t, 3)
+	app := sks[0].App
+	s := NewService(Config{})
+	defer s.Drain()
+	for i, sk := range sks[:2] {
+		d, err := s.Decode(sk.Encode())
+		if err != nil || !s.OfferDecoded(d) {
+			t.Fatalf("offer %d: %v", i, err)
+		}
+	}
+	waitSketches(t, s, app, 2)
+	snap, rev, _ := s.Consensus(app)
+	want := snap.Encode()
+
+	d, err := s.Decode(sks[2].Encode())
+	if err != nil || !s.OfferDecoded(d) {
+		t.Fatalf("offer: %v", err)
+	}
+	waitSketches(t, s, app, 3)
+	if now, nrev, _ := s.Consensus(app); nrev == rev || now.Digest() == snap.Digest() {
+		t.Fatal("the third sketch did not change the consensus")
+	}
+	if !bytes.Equal(snap.Encode(), want) {
+		t.Error("a later join changed an earlier consensus snapshot")
 	}
 }

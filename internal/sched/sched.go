@@ -19,6 +19,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"critics/internal/obs"
 	"critics/internal/telemetry"
@@ -122,6 +123,10 @@ func NewPoolMetrics(reg *telemetry.Registry, pool string) *PoolMetrics {
 // once the context is cancelled and returns after the in-flight ones finish;
 // the determinism contract then no longer holds (some indices were never
 // run) and callers must discard the partial results.
+//
+// A panicking shard stops the dispatch of further shards the same way, and
+// Map re-raises the first shard's panic value on the caller's goroutine once
+// the in-flight shards have finished, so a caller's recover sees it.
 func (p *Pool) Map(n int, f func(i int)) {
 	if n <= 0 || p.cancelled() {
 		return
@@ -164,6 +169,7 @@ func (p *Pool) Map(n int, f func(i int)) {
 		return
 	}
 	var wg sync.WaitGroup
+	var failed atomic.Pointer[shardPanic] // the first shard panic
 	next := make(chan int, n)
 	for i := 0; i < n; i++ {
 		next <- i
@@ -173,10 +179,18 @@ func (p *Pool) Map(n int, f func(i int)) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					failed.CompareAndSwap(nil, &shardPanic{v})
+					if m != nil {
+						m.BusyWorkers.Add(-1)
+					}
+				}
+			}()
 			labels := pprof.Labels("pool", p.name, "worker", strconv.Itoa(worker))
 			pprof.Do(context.Background(), labels, func(ctx context.Context) {
 				for i := range next {
-					if p.cancelled() {
+					if p.cancelled() || failed.Load() != nil {
 						return
 					}
 					if m != nil {
@@ -195,4 +209,10 @@ func (p *Pool) Map(n int, f func(i int)) {
 		}(w)
 	}
 	wg.Wait()
+	if sp := failed.Load(); sp != nil {
+		panic(sp.v)
+	}
 }
+
+// shardPanic boxes a recovered shard panic value.
+type shardPanic struct{ v any }

@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"critics/internal/telemetry"
 )
@@ -19,6 +21,38 @@ func TestMapCoversAllIndices(t *testing.T) {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
 			}
 		}
+	}
+}
+
+// TestMapPanicReachesCaller: a shard that panics on a worker goroutine under
+// a live context surfaces its own value to a recover on Map's caller, after
+// the shards in flight have finished, and no further shard starts.
+func TestMapPanicReachesCaller(t *testing.T) {
+	boom := &struct{ msg string }{"shard 0 failed"}
+	const n = 64
+	var ran, inflight atomic.Int32
+	p := NewPool(4).Instrument(NewPoolMetrics(telemetry.NewRegistry(), "panic")).WithContext(context.Background())
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		p.Map(n, func(i int) {
+			ran.Add(1)
+			if i == 0 {
+				panic(boom)
+			}
+			inflight.Add(1)
+			time.Sleep(time.Millisecond)
+			inflight.Add(-1)
+		})
+		return nil
+	}()
+	if got != boom {
+		t.Fatalf("caller recovered %v, want the shard's own panic value", got)
+	}
+	if k := inflight.Load(); k != 0 {
+		t.Errorf("Map re-raised with %d shards still running", k)
+	}
+	if k := ran.Load(); k >= n {
+		t.Errorf("all %d shards ran despite the panic", k)
 	}
 }
 

@@ -1,14 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"critics/internal/fleet"
+	"critics/internal/sketch"
 	"critics/internal/workload"
 )
 
@@ -155,4 +162,113 @@ func TestFleetJobEndToEnd(t *testing.T) {
 	if as.Winner != res.Report.Winner || as.WinnerDigest != res.Report.WinnerDigest || as.Generations == 0 {
 		t.Errorf("fleet status not updated: %+v vs report %+v", as, res.Report)
 	}
+}
+
+// TestProfileIngestConcurrentPermuted posts device sketches from four
+// goroutines at once, each in its own order, with duplicates and a
+// malformed body mixed in: recycled decode sketches must leave the same
+// consensus as a sequential fold of the distinct sketches.
+func TestProfileIngestConcurrentPermuted(t *testing.T) {
+	s, _ := start(t, stubConfig(echoStub))
+	h := s.Handler()
+	app := workload.MobileApps()[0]
+	want := sketch.New(app.Params.Name)
+	var bodies [][]byte
+	for i := 0; i < 6; i++ {
+		sk := fleet.BuildDeviceSketch(app, deviceName(i), 1+i%2)
+		want.Merge(sk)
+		bodies = append(bodies, sk.Encode())
+	}
+
+	const senders = 4
+	var posted atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			for _, i := range append(r.Perm(len(bodies)), r.Intn(len(bodies))) {
+				if code := postProfile(h, bodies[i]); code != http.StatusAccepted {
+					t.Errorf("sender %d: sketch %d answered %d", g, i, code)
+					return
+				}
+				posted.Add(1)
+				if i == g {
+					if code := postProfile(h, []byte("CSK\x01 not a sketch")); code != http.StatusBadRequest {
+						t.Errorf("sender %d: malformed body answered %d", g, code)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	waitMerged(t, s, app.Params.Name, posted.Load())
+	got, _, ok := s.fleet.Consensus(app.Params.Name)
+	if !ok {
+		t.Fatal("no consensus after concurrent ingest")
+	}
+	if got.Digest() != want.Digest() {
+		t.Fatalf("concurrent ingest consensus %s differs from a sequential fold %s", got.Digest(), want.Digest())
+	}
+}
+
+// postProfile serves one POST /v1/profiles in process and returns its
+// status code.
+func postProfile(h http.Handler, body []byte) int {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/profiles", bytes.NewReader(body)))
+	return rec.Code
+}
+
+// waitMerged polls the fleet service until the app reports n merged
+// sketches.
+func waitMerged(tb testing.TB, s *Server, app string, n uint64) {
+	tb.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for _, as := range s.fleet.Status() {
+			if as.App == app && as.Sketches >= n {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			tb.Fatalf("timed out waiting for %d merged sketches of %s", n, app)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// BenchmarkProfileIngest serves POST /v1/profiles in process, round-robin
+// over 8 device sketches, and stops the timer once every post is merged: the
+// per-request cost of fleet ingest from body to consensus, without sockets.
+// CI gates its B/op; a per-request sketch allocation would add 32 KB.
+func BenchmarkProfileIngest(b *testing.B) {
+	app := workload.MobileApps()[0]
+	bodies := make([][]byte, 8)
+	for i := range bodies {
+		bodies[i] = fleet.BuildDeviceSketch(app, deviceName(i), 1).Encode()
+	}
+	s := New(stubConfig(echoStub))
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	// One warm-up round archives every sketch and sizes the consensus.
+	for _, body := range bodies {
+		if code := postProfile(h, body); code != http.StatusAccepted {
+			b.Fatalf("warm-up post answered %d", code)
+		}
+	}
+	waitMerged(b, s, app.Params.Name, uint64(len(bodies)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if code := postProfile(h, bodies[i%len(bodies)]); code != http.StatusAccepted {
+			b.Fatalf("post answered %d", code)
+		}
+	}
+	waitMerged(b, s, app.Params.Name, uint64(len(bodies)+b.N))
+	b.StopTimer()
 }

@@ -21,7 +21,6 @@ import (
 	"critics/internal/fleet"
 	"critics/internal/obs"
 	"critics/internal/scan"
-	"critics/internal/sketch"
 	"critics/internal/telemetry"
 )
 
@@ -605,25 +604,27 @@ func (s *Server) dropJobLocked(id string) {
 
 // handleProfiles ingests one encoded profile sketch from a device. The body
 // is the sketch's canonical binary wire form — bounded by construction, so
-// fleet ingest memory is sketches, never traces. Admission mirrors the job
-// queue: a full ingest queue refuses with 429 + Retry-After and the device
-// re-sends its (cumulative, idempotently mergeable) sketch later.
+// fleet ingest memory is sketches, never traces. It decodes into a sketch
+// the fleet service owns and recycles after the merge. Admission mirrors the
+// job queue: a full ingest queue refuses with 429 + Retry-After and the
+// device re-sends its (cumulative, idempotently mergeable) sketch later.
 func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := readBody(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "reading body: "+err.Error(), false)
 		return
 	}
-	sk, err := sketch.Decode(body)
+	sk, err := s.fleet.Decode(body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "malformed sketch: "+err.Error(), false)
 		return
 	}
 	if s.draining.Load() {
+		s.fleet.Release(sk)
 		writeErr(w, http.StatusServiceUnavailable, "server is draining; retry against a live instance", true)
 		return
 	}
-	if !s.fleet.Offer(sk) {
+	if !s.fleet.OfferDecoded(sk) {
 		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds))
 		writeErr(w, http.StatusTooManyRequests,
 			fmt.Sprintf("profile ingest queue full; retry after %ds", retryAfterSeconds), true)
@@ -638,6 +639,18 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		s.log.Warn("archiving sketch failed", "app", sk.App, "err", err)
 	}
 	writeJSON(w, http.StatusAccepted, map[string]string{"status": "accepted", "app": sk.App, "digest": digest})
+}
+
+// readBody reads a profile body of at most maxBodyBytes: a declared
+// Content-Length into one buffer of exactly that size, an unknown or larger
+// one through a limited ReadAll (a larger body is cut at the limit).
+func readBody(r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r.Body, body)
+		return body, err
+	}
+	return io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 }
 
 // handleFleet reports per-app fleet state: consensus revision and digest,

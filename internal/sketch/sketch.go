@@ -31,6 +31,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"critics/internal/core"
@@ -112,6 +113,11 @@ type Sketch struct {
 	// Devices is the bottom-k set of 64-bit device-id hashes, ascending and
 	// distinct — a KMV estimator of how many devices contributed.
 	Devices []uint64
+
+	// spare is the key list a merge writes into before swapping it with
+	// Keys, so a consensus joins without reallocating. Never shared: Clone
+	// leaves it nil.
+	spare []KeyStat
 }
 
 // New returns an empty sketch for one app.
@@ -332,13 +338,15 @@ func (s *Sketch) Merge(o *Sketch) bool {
 }
 
 // mergeKeys unions o's exact stats into s's (both canonically ordered),
-// joining stats of shared keys. Returns whether s changed.
+// joining stats of shared keys. Returns whether s changed. The union is
+// written into s.spare, which then swaps places with s.Keys: the previous
+// key list becomes the next merge's spare.
 func (s *Sketch) mergeKeys(o []KeyStat) bool {
 	if len(o) == 0 {
 		return false
 	}
 	changed := false
-	out := make([]KeyStat, 0, len(s.Keys)+len(o))
+	out := slices.Grow(s.spare[:0], len(s.Keys)+len(o))
 	i, j := 0, 0
 	for i < len(s.Keys) && j < len(o) {
 		a, b := &s.Keys[i], &o[j]
@@ -370,7 +378,7 @@ func (s *Sketch) mergeKeys(o []KeyStat) bool {
 		out = append(out, o[j:]...)
 		changed = true
 	}
-	s.Keys = out
+	s.Keys, s.spare = out, s.Keys
 	return changed
 }
 
@@ -380,6 +388,7 @@ func (s *Sketch) Clone() *Sketch {
 	c := *s
 	c.Keys = append([]KeyStat(nil), s.Keys...)
 	c.Devices = append([]uint64(nil), s.Devices...)
+	c.spare = nil
 	return &c
 }
 

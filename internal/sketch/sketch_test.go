@@ -2,7 +2,9 @@ package sketch
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"critics/internal/core"
@@ -196,6 +198,71 @@ func TestDecodeRejects(t *testing.T) {
 	s.Keys[0], s.Keys[1] = s.Keys[1], s.Keys[0]
 	if _, err := Decode(s.Encode()); err == nil {
 		t.Errorf("Decode accepted out-of-order keys")
+	}
+}
+
+// TestDecodeRefusesOverlongVarints: a varint padded with a zero final byte
+// decodes to the same value but re-encodes shorter, so one sketch would
+// have two encodings. Decode refuses it, naming the field and its offset.
+func TestDecodeRefusesOverlongVarints(t *testing.T) {
+	s := New("overlong")
+	s.TotalDyn = 5
+	b := s.Encode()
+	pad := func(at int) []byte {
+		return append(append(b[:at:at], b[at]|0x80, 0x00), b[at+1:]...)
+	}
+	cm := cmOffset(b)
+	cases := []struct {
+		field string
+		at    int
+	}{
+		{"total_dyn", cm - 1},
+		{"cm cell", cm},
+		{"cm cell", cm + Depth*Width - 1},
+		{"key count", len(b) - 1},
+	}
+	for _, c := range cases {
+		_, err := Decode(pad(c.at))
+		if err == nil {
+			t.Errorf("%s padded at offset %d accepted", c.field, c.at)
+			continue
+		}
+		if want := fmt.Sprintf("(%s) at offset %d", c.field, c.at); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s padded at offset %d: error %q does not name %q", c.field, c.at, err, want)
+		}
+	}
+	if _, err := Decode(b); err != nil {
+		t.Fatalf("unpadded sketch refused: %v", err)
+	}
+}
+
+// TestMergeReusesSpare: a consensus joining sketches it has already seen
+// allocates nothing, and Clone does not share its spare merge list.
+func TestMergeReusesSpare(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var sks []*Sketch
+	for i := 0; i < 4; i++ {
+		sks = append(sks, randomSketch(r, "app"))
+	}
+	acc := New("app")
+	for _, sk := range sks {
+		acc.Merge(sk)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for _, sk := range sks {
+			acc.Merge(sk)
+		}
+	}); n != 0 {
+		t.Errorf("re-joining known sketches allocated %.0f times, want 0", n)
+	}
+	c := acc.Clone()
+	if c.spare != nil {
+		t.Error("Clone shares the spare merge list")
+	}
+	before := c.Encode()
+	acc.Merge(randomSketch(r, "app"))
+	if !bytes.Equal(c.Encode(), before) {
+		t.Error("a join after Clone changed the clone")
 	}
 }
 

@@ -3,6 +3,7 @@ package sketch
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"critics/internal/core"
 )
@@ -97,10 +98,17 @@ type decoder struct {
 	pos int
 }
 
+// uvarint reads one canonical varint. binary.Uvarint also accepts padded
+// forms, a multi-byte varint whose final byte is zero; Encode never writes
+// one, and accepting it would give one sketch two encodings (and the
+// archive two digests for it), so it is refused.
 func (d *decoder) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(d.b[d.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("sketch: truncated or overlong varint (%s) at offset %d", what, d.pos)
+	}
+	if n > 1 && d.b[d.pos+n-1] == 0 {
+		return 0, fmt.Errorf("sketch: non-canonical %d-byte varint (%s) at offset %d", n, what, d.pos)
 	}
 	d.pos += n
 	return v, nil
@@ -115,72 +123,92 @@ func (d *decoder) bytes(n int, what string) ([]byte, error) {
 	return out, nil
 }
 
-// Decode parses and validates one canonical sketch.
+// Decode parses and validates one canonical sketch into a new Sketch.
 func Decode(b []byte) (*Sketch, error) {
+	s := &Sketch{}
+	if err := s.UnmarshalBinary(b); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// UnmarshalBinary parses and validates one canonical sketch into s,
+// replacing everything s held. It reuses the capacity of s's Keys and
+// Devices and overwrites the count-min array in place, so decoding into a
+// sketch that held one of similar size allocates nothing. After an error s
+// holds a partial decode: decode into it again before any other use.
+func (s *Sketch) UnmarshalBinary(b []byte) error {
 	if len(b) < 4 || [4]byte(b[:4]) != magic {
 		if len(b) >= 4 && b[0] == 'C' && b[1] == 'S' && b[2] == 'K' {
-			return nil, fmt.Errorf("sketch: unsupported wire version %d (want %d)", b[3], Version)
+			return fmt.Errorf("sketch: unsupported wire version %d (want %d)", b[3], Version)
 		}
-		return nil, fmt.Errorf("sketch: bad magic")
+		return fmt.Errorf("sketch: bad magic")
 	}
-	d := &decoder{b: b, pos: 4}
-	s := &Sketch{}
+	d := decoder{b: b, pos: 4}
 
 	n, err := d.uvarint("app length")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n > MaxAppName {
-		return nil, fmt.Errorf("sketch: app name length %d exceeds %d", n, MaxAppName)
+		return fmt.Errorf("sketch: app name length %d exceeds %d", n, MaxAppName)
 	}
 	app, err := d.bytes(int(n), "app name")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s.App = string(app)
+	if s.App != string(app) { // a recycled sketch mostly keeps its app
+		s.App = string(app)
+	}
 
 	if s.TotalDyn, err = d.uvarint("total_dyn"); err != nil {
-		return nil, err
+		return err
 	}
-	for r := 0; r < Depth; r++ {
-		for i := 0; i < Width; i++ {
-			if s.CM[r][i], err = d.uvarint("cm cell"); err != nil {
-				return nil, err
+	for r := range s.CM {
+		row := &s.CM[r]
+		for i := range row {
+			// Most cells are small: one byte, no continuation bit.
+			if p := d.pos; p < len(b) && b[p] < 0x80 {
+				row[i], d.pos = uint64(b[p]), p+1
+				continue
+			}
+			if row[i], err = d.uvarint("cm cell"); err != nil {
+				return err
 			}
 		}
 	}
 	for i := range s.Fanout {
 		if s.Fanout[i], err = d.uvarint("fanout bucket"); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for i := range s.Stall {
 		if s.Stall[i], err = d.uvarint("stall stage"); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
 	nd, err := d.uvarint("device count")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nd > KMVSize {
-		return nil, fmt.Errorf("sketch: %d device hashes exceed bottom-k bound %d", nd, KMVSize)
+		return fmt.Errorf("sketch: %d device hashes exceed bottom-k bound %d", nd, KMVSize)
 	}
-	s.Devices = make([]uint64, 0, nd)
+	s.Devices = slices.Grow(s.Devices[:0], int(nd))
 	prev := uint64(0)
 	for i := uint64(0); i < nd; i++ {
 		v, err := d.uvarint("device hash")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if i > 0 {
 			if v == 0 {
-				return nil, fmt.Errorf("sketch: device hashes not strictly ascending")
+				return fmt.Errorf("sketch: device hashes not strictly ascending")
 			}
 			next := prev + v
 			if next < prev {
-				return nil, fmt.Errorf("sketch: device hash delta overflows")
+				return fmt.Errorf("sketch: device hash delta overflows")
 			}
 			v = next
 		}
@@ -190,65 +218,65 @@ func Decode(b []byte) (*Sketch, error) {
 
 	nk, err := d.uvarint("key count")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nk > maxWireKeys {
-		return nil, fmt.Errorf("sketch: %d keys exceed wire bound %d", nk, maxWireKeys)
+		return fmt.Errorf("sketch: %d keys exceed wire bound %d", nk, maxWireKeys)
 	}
-	s.Keys = make([]KeyStat, 0, min(nk, 1024))
+	s.Keys = slices.Grow(s.Keys[:0], int(min(nk, 1024)))
 	var prevKey core.ChainKey
 	for i := uint64(0); i < nk; i++ {
 		var st KeyStat
 		fn, err := d.uvarint("key func")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		bl, err := d.uvarint("key block")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ln, err := d.uvarint("key length")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if fn > 0xFFFF || bl > 0xFFFF {
-			return nil, fmt.Errorf("sketch: key func/block out of range")
+			return fmt.Errorf("sketch: key func/block out of range")
 		}
 		if ln < 2 || ln > core.MaxChainLen {
-			return nil, fmt.Errorf("sketch: chain length %d out of range [2,%d]", ln, core.MaxChainLen)
+			return fmt.Errorf("sketch: chain length %d out of range [2,%d]", ln, core.MaxChainLen)
 		}
 		st.Key.Func, st.Key.Block, st.Key.N = uint16(fn), uint16(bl), uint8(ln)
 		idx, err := d.bytes(int(ln), "key indices")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		copy(st.Key.Idx[:], idx)
 		if st.Count, err = d.uvarint("key count value"); err != nil {
-			return nil, err
+			return err
 		}
 		if st.Count == 0 {
-			return nil, fmt.Errorf("sketch: zero-count key (non-canonical)")
+			return fmt.Errorf("sketch: zero-count key (non-canonical)")
 		}
 		if st.FanoutMilli, err = d.uvarint("key fanout"); err != nil {
-			return nil, err
+			return err
 		}
 		tb, err := d.bytes(1, "thumb flag")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if tb[0] > 1 {
-			return nil, fmt.Errorf("sketch: thumb flag %d not 0|1", tb[0])
+			return fmt.Errorf("sketch: thumb flag %d not 0|1", tb[0])
 		}
 		st.ThumbOK = tb[0] == 1
 		if i > 0 && !core.LessKey(prevKey, st.Key) {
-			return nil, fmt.Errorf("sketch: keys not strictly ascending at index %d", i)
+			return fmt.Errorf("sketch: keys not strictly ascending at index %d", i)
 		}
 		prevKey = st.Key
 		s.Keys = append(s.Keys, st)
 	}
 
 	if d.pos != len(b) {
-		return nil, fmt.Errorf("sketch: %d trailing bytes after sketch", len(b)-d.pos)
+		return fmt.Errorf("sketch: %d trailing bytes after sketch", len(b)-d.pos)
 	}
-	return s, nil
+	return nil
 }

@@ -507,6 +507,7 @@ func (s *Sim) RunStream(st Stream) Result {
 	metrics := s.cfg.Metrics
 	var runBkd Breakdown
 	var cdpCount int64
+	var work runWork
 	// retire finalizes one instruction (ROB commit, or decode for CDP mode
 	// switches): metric accumulation, the OnCommit observer, and the
 	// collect-mode copy-out.
@@ -574,6 +575,7 @@ func (s *Sim) RunStream(st Stream) Result {
 				lsqUsed--
 			}
 			if hasFan {
+				work.trainings++
 				s.trainCritical(d, fan[idx-winBase], now)
 			}
 			retire(idx, d, r)
@@ -622,6 +624,7 @@ func (s *Sim) RunStream(st Stream) Result {
 				if r.Dispatched >= now {
 					continue
 				}
+				work.prodWalks++
 				if ready, wake := prodsReady(d); !ready {
 					e.wake = wake
 					continue
@@ -658,6 +661,7 @@ func (s *Sim) RunStream(st Stream) Result {
 		}
 		// Compact the issue queue occasionally.
 		if len(iq) > 0 {
+			work.iqCompactions++
 			out := iq[:0]
 			for _, v := range iq {
 				if v.idx != noIdx {
@@ -833,7 +837,7 @@ func (s *Sim) RunStream(st Stream) Result {
 	res.L2Accesses = s.hier.L2.Accesses - l20
 	res.DRAMAccesses = s.hier.DRAM.Accesses - dr0
 	if metrics != nil {
-		metrics.flushRun(&res, runBkd, cdpCount)
+		metrics.flushRun(&res, runBkd, cdpCount, work)
 	}
 	if collect {
 		res.Records = recOut

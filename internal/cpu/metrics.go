@@ -35,6 +35,20 @@ type Metrics struct {
 	// fetch-bandwidth-utilization view of the paper's "nearly doubles the
 	// fetch bandwidth" claim.
 	FetchBytesUsed *telemetry.Histogram
+
+	// Work counters count the simulator's own work, not modelled events:
+	// walks over a waiting issue-queue entry's producers, criticality-table
+	// trainings at commit, and issue-queue compaction passes. They are
+	// deterministic, so a hot-loop change shows as an exact count.
+	ProducerWalks *telemetry.Counter
+	CritTrainings *telemetry.Counter
+	IQCompactions *telemetry.Counter
+}
+
+// runWork is one RunStream call's work counters, counted in locals and
+// flushed once at the end of the run.
+type runWork struct {
+	prodWalks, trainings, iqCompactions int64
 }
 
 // NewMetrics registers the simulator's metric families on reg and returns
@@ -57,6 +71,12 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		FetchBytesUsed: reg.Histogram("critics_sim_fetch_bytes_used",
 			"Fetch port bytes consumed per active fetch cycle.",
 			telemetry.LinearBuckets(0, 2, 9)),
+		ProducerWalks: reg.Counter("critics_sim_producer_walks_total",
+			"Issue-scan walks over a waiting instruction's producers (simulator work)."),
+		CritTrainings: reg.Counter("critics_sim_crit_trainings_total",
+			"Criticality-table training updates at commit (simulator work)."),
+		IQCompactions: reg.Counter("critics_sim_iq_compactions_total",
+			"Issue-queue compaction passes (simulator work)."),
 	}
 	for i, stage := range stallStages {
 		m.Stall[i] = reg.Counter("critics_sim_stall_cycles_total",
@@ -70,7 +90,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 // accumulated incrementally by Run as instructions retire, so flushing does
 // not require the per-instruction record slice (which Run only keeps in a
 // small sliding window unless CollectRecords asks for all of it).
-func (m *Metrics) flushRun(res *Result, bkd Breakdown, cdp int64) {
+func (m *Metrics) flushRun(res *Result, bkd Breakdown, cdp int64, work runWork) {
 	m.Windows.Inc()
 	m.Cycles.Add(res.Cycles)
 	m.Instrs.Add(res.Instrs)
@@ -90,4 +110,8 @@ func (m *Metrics) flushRun(res *Result, bkd Breakdown, cdp int64) {
 	m.Stall[3].Add(bkd.Rename)
 	m.Stall[4].Add(bkd.Execute)
 	m.Stall[5].Add(bkd.Commit)
+
+	m.ProducerWalks.Add(work.prodWalks)
+	m.CritTrainings.Add(work.trainings)
+	m.IQCompactions.Add(work.iqCompactions)
 }

@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"critics/internal/cpu"
 	"critics/internal/telemetry"
+	"critics/internal/workload"
 )
 
 // TestSetTelemetryReusesBundle locks the bundle reuse of SetTelemetry:
@@ -72,5 +74,34 @@ func TestSetTelemetryConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := reg.Counter("critics_measure_batched_total", "").Value(); n != 8 {
 		t.Errorf("shared counter reads %d, want 8", n)
+	}
+}
+
+// TestSimWorkCounters pins the simulator's work counters for one quick
+// acrobat base measurement (warm window plus measured window) under the
+// default configuration and under BackendPrio. The counts are deterministic:
+// a hot-loop change that alters how much work the cycle loop does shows here
+// as an exact difference, while the pinned cycles must not move.
+func TestSimWorkCounters(t *testing.T) {
+	type counts struct{ cycles, walks, trainings, compactions int64 }
+	prio := cpu.DefaultConfig()
+	prio.BackendPrio = true
+	for _, tc := range []struct {
+		name string
+		cfg  cpu.Config
+		want counts
+	}{
+		{"default", cpu.DefaultConfig(), counts{74795, 276798, 55000, 35521}},
+		{"backend-prio", prio, counts{74784, 272637, 55000, 35511}},
+	} {
+		ctx := QuickContext()
+		ctx.SetTelemetry(telemetry.NewRegistry())
+		a, _ := workload.FindApp("acrobat")
+		ctx.Measure(ctx.Program(a), tc.cfg, false)
+		m := ctx.tel.Sim
+		got := counts{m.Cycles.Value(), m.ProducerWalks.Value(), m.CritTrainings.Value(), m.IQCompactions.Value()}
+		if got != tc.want {
+			t.Errorf("%s: work counters %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -143,20 +143,14 @@ func (b *Breakdown) Add(o Breakdown) {
 
 // BreakdownOf converts a record into per-stage dwell times.
 func BreakdownOf(r *Record) Breakdown {
-	clamp := func(v int64) int64 {
-		if v < 0 {
-			return 0
-		}
-		return v
+	return Breakdown{
+		FetchI:  max(r.Fetched-r.Eligible, 0),
+		FetchRD: max(r.DecodeDone-r.Fetched-1, 0),
+		Decode:  max(r.Dispatched-r.DecodeDone-1, 0),
+		Rename:  max(r.Issued-r.Dispatched-1, 0),
+		Execute: max(r.Done-r.Issued, 0),
+		Commit:  max(r.Committed-r.Done, 0),
 	}
-	var b Breakdown
-	b.FetchI = clamp(r.Fetched - r.Eligible)
-	b.FetchRD = clamp(r.DecodeDone - r.Fetched - 1)
-	b.Decode = clamp(r.Dispatched - r.DecodeDone - 1)
-	b.Rename = clamp(r.Issued - r.Dispatched - 1)
-	b.Execute = clamp(r.Done - r.Issued)
-	b.Commit = clamp(r.Committed - r.Done)
-	return b
 }
 
 // Result is the outcome of simulating one window.
@@ -282,6 +276,17 @@ func (s *Sim) trainCritical(d *trace.Dyn, fanout int32, now int64) {
 
 const noIdx = -1
 
+// baseLatency is the fewest cycles from d's issue to its result: one for a
+// store, and the fixed latency for anything else. A load qualifies because
+// its access starts Latency cycles after issue and Hierarchy.Data never
+// answers before its start.
+func baseLatency(d *trace.Dyn) int64 {
+	if d.IsStore {
+		return 1
+	}
+	return int64(d.Latency)
+}
+
 // blankRecord is the initial value of every record slot: no stage reached.
 var blankRecord = Record{Eligible: -1, Fetched: -1, DecodeDone: -1, Dispatched: -1, Issued: -1, Done: -1, Committed: -1}
 
@@ -325,29 +330,20 @@ func (ss *sliceStream) Next() ([]trace.Dyn, []int32) {
 }
 
 // runBuffers is the reusable buffer set one RunStream call draws from: the
-// sliding instruction/fanout/record window plus the pipeline queues. Pooled
-// so that back-to-back measurements (and concurrent shard workers, each
-// popping its own set) run the no-records path without per-run allocations.
+// sliding instruction/fanout/record/wake window plus the pipeline queues.
+// Pooled so that back-to-back measurements (and concurrent shard workers,
+// each popping its own set) run the no-records path without per-run
+// allocations.
 type runBuffers struct {
-	dyn []trace.Dyn
-	fan []int32
-	rec []Record
+	dyn  []trace.Dyn
+	fan  []int32
+	rec  []Record
+	wake []int64
 
 	fetchQ  []int32
 	renameQ []int32
 	robQ    []int32
-	iq      []iqEnt
-}
-
-// iqEnt is one issue-queue slot: the instruction's absolute stream index plus
-// a memoized wake-up cycle. wake > now means the entry's producers are all
-// scheduled and the latest finishes at wake, so the scan skips it without
-// re-walking the producers; wake <= now means the entry must be (re)checked.
-// The memo is exact — producer Done times are assigned once, at issue — so
-// skipping is invisible to results.
-type iqEnt struct {
-	idx  int32
-	wake int64
+	iq      []int32
 }
 
 var runBufs = sync.Pool{New: func() any { return &runBuffers{} }}
@@ -412,19 +408,24 @@ func (s *Sim) RunStream(st Stream) Result {
 		renameQ  = fifo{buf: bufs.renameQ[:0]}
 
 		rob     = fifo{buf: bufs.robQ[:0]}
-		iq      = bufs.iq[:0]
+		iq      = bufs.iq[:0] // absolute indices in dispatch order; noIdx once issued
 		lsqUsed int
 
 		committed int64
 		instrs    int64
 	)
 
-	// Sliding window: dyn/fan/rec cover absolute indices [winBase, hi).
+	// Sliding window: dyn/fan/rec/wake cover absolute indices [winBase, hi).
 	// hi counts every instruction admitted from the stream so far.
+	//
+	// wake memoizes each instruction's last issue-scan wake-up bound: the
+	// instruction cannot issue before that cycle, so the scan skips it
+	// without re-walking its producers until then (see prodsReady).
 	var (
 		dyn     = bufs.dyn[:0]
 		fan     = bufs.fan[:0]
 		rec     = bufs.rec[:0]
+		wake    = bufs.wake[:0]
 		winBase int
 		hi      int
 
@@ -434,7 +435,7 @@ func (s *Sim) RunStream(st Stream) Result {
 		recOut    []Record // CollectRecords output, indexed absolutely
 	)
 	defer func() {
-		bufs.dyn, bufs.fan, bufs.rec = dyn[:0], fan[:0], rec[:0]
+		bufs.dyn, bufs.fan, bufs.rec, bufs.wake = dyn[:0], fan[:0], rec[:0], wake[:0]
 		bufs.fetchQ, bufs.renameQ, bufs.robQ = fetchBuf.buf[:0], renameQ.buf[:0], rob.buf[:0]
 		bufs.iq = iq[:0]
 		runBufs.Put(bufs)
@@ -478,6 +479,7 @@ func (s *Sim) RunStream(st Stream) Result {
 		if k := oldestInFlight() - winBase; k > 0 && k*2 >= len(dyn) {
 			dyn = append(dyn[:0], dyn[k:]...)
 			rec = append(rec[:0], rec[k:]...)
+			wake = append(wake[:0], wake[k:]...)
 			if hasFan {
 				fan = append(fan[:0], fan[k:]...)
 			}
@@ -490,6 +492,7 @@ func (s *Sim) RunStream(st Stream) Result {
 		for range c {
 			rec = append(rec, blankRecord)
 		}
+		wake = append(wake, make([]int64, len(c))...)
 		if collect {
 			recOut = append(recOut, make([]Record, len(c))...)
 		}
@@ -501,6 +504,12 @@ func (s *Sim) RunStream(st Stream) Result {
 		return res // empty stream, matching Run on an empty window
 	}
 	rec[0].Eligible = 0
+
+	// Only predCritical reads the criticality table, and only the two hooks
+	// call it; the only other effect of training is the CLP prefetch. A
+	// Sim's config is fixed at New, so without either hook training can
+	// never be observed and is skipped.
+	train := hasFan && (s.cfg.BackendPrio || s.cfg.CriticalLoadPrefetch)
 
 	// Per-run metric aggregates, accumulated as instructions retire so the
 	// registry flush at the end does not need the full record slice.
@@ -531,13 +540,21 @@ func (s *Sim) RunStream(st Stream) Result {
 	}
 
 	// prodsReady reports whether every producer of d has its result available
-	// at now. When not ready it also returns the wake-up cycle the issue scan
-	// may skip to: the latest producer completion when all producers are
-	// scheduled (exact — Done times are assigned once, at issue), or now+1
-	// when some producer has not issued yet (re-check next cycle, which is
-	// when its readiness could earliest change).
-	prodsReady := func(d *trace.Dyn) (bool, int64) {
-		var wake int64
+	// at now. When not ready it also returns a lower bound on the cycle d can
+	// issue, which the issue scan memoizes to skip d until then. Each term is
+	// a lower bound on when d becomes ready:
+	//   - an issued producer's Done (exact: assigned once, at issue);
+	//   - for a producer P that has not issued, P's earliest issue plus its
+	//     base latency. P issues no earlier than its own memoized wake. It
+	//     also issues no earlier than unissuedFloor: dispatch is in order
+	//     (CDPs, which skip the queue, complete at decode), so P waits at an
+	//     earlier issue-queue position that this cycle's scan has already
+	//     passed. Under BackendPrio the second pass may still issue P this
+	//     cycle, so the floor is now rather than now+1.
+	// The bound is never below now+1: the scan does not revisit d this cycle.
+	prodsReady := func(d *trace.Dyn, unissuedFloor int64) (bool, int64) {
+		var bound int64
+		ready := true
 		for k := uint8(0); k < d.NProd; k++ {
 			p := int(d.Prod[k] - seqBase)
 			if p < winBase {
@@ -545,15 +562,18 @@ func (s *Sim) RunStream(st Stream) Result {
 				// result long available.
 				continue
 			}
-			pd := rec[p-winBase].Done
+			i := p - winBase
+			pd := rec[i].Done
 			if pd < 0 {
-				return false, now + 1
+				ready = false
+				pd = max(wake[i], unissuedFloor) + baseLatency(&dyn[i])
 			}
-			if pd > wake {
-				wake = pd
-			}
+			bound = max(bound, pd)
 		}
-		return wake <= now, wake
+		if ready && bound <= now {
+			return true, bound
+		}
+		return false, max(bound, now+1)
 	}
 
 	for !exhausted || committed < int64(hi) {
@@ -574,7 +594,7 @@ func (s *Sim) RunStream(st Stream) Result {
 			if d.IsLoad || d.IsStore {
 				lsqUsed--
 			}
-			if hasFan {
+			if train {
 				work.trainings++
 				s.trainCritical(d, fan[idx-winBase], now)
 			}
@@ -597,18 +617,20 @@ func (s *Sim) RunStream(st Stream) Result {
 		budget := s.cfg.IssueWidth
 		// Two passes under BackendPrio: critical-predicted first.
 		passes := 1
+		unissuedFloor := now + 1
 		if s.cfg.BackendPrio {
 			passes = 2
+			unissuedFloor = now
 		}
 		for pass := 0; pass < passes && budget > 0; pass++ {
 			for qi := 0; qi < len(iq) && budget > 0; qi++ {
-				e := &iq[qi]
-				idx := e.idx
+				idx := iq[qi]
 				if idx == noIdx {
 					continue
 				}
-				if e.wake > now {
-					continue // producers known not done before wake
+				w := &wake[int(idx)-winBase]
+				if *w > now {
+					continue // cannot issue before its memoized wake
 				}
 				d := dynAt(int(idx))
 				if s.cfg.BackendPrio {
@@ -625,8 +647,8 @@ func (s *Sim) RunStream(st Stream) Result {
 					continue
 				}
 				work.prodWalks++
-				if ready, wake := prodsReady(d); !ready {
-					e.wake = wake
+				if ready, bound := prodsReady(d, unissuedFloor); !ready {
+					*w = bound
 					continue
 				}
 				var pool *int
@@ -656,15 +678,16 @@ func (s *Sim) RunStream(st Stream) Result {
 				default:
 					r.Done = now + int64(d.Latency)
 				}
-				e.idx = noIdx
+				iq[qi] = noIdx
 			}
 		}
-		// Compact the issue queue occasionally.
-		if len(iq) > 0 {
+		// Compact the issue queue in cycles that issued: only issue clears
+		// an entry, so in any other cycle the copy would change nothing.
+		if budget < s.cfg.IssueWidth {
 			work.iqCompactions++
 			out := iq[:0]
 			for _, v := range iq {
-				if v.idx != noIdx {
+				if v != noIdx {
 					out = append(out, v)
 				}
 			}
@@ -687,7 +710,7 @@ func (s *Sim) RunStream(st Stream) Result {
 			pop(&renameQ)
 			recAt(int(idx)).Dispatched = now
 			push(&rob, idx)
-			iq = append(iq, iqEnt{idx: idx})
+			iq = append(iq, idx)
 			if d.IsLoad || d.IsStore {
 				lsqUsed++
 			}

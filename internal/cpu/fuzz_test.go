@@ -24,6 +24,8 @@ func fuzzTrace(data []byte) []trace.Dyn {
 	for i := 0; i < n; i++ {
 		b := data[i*6 : i*6+6]
 		d := trace.Dyn{Seq: int64(i), Addr: pc, Class: isa.Class(b[0] % isa.NumClasses)}
+		// Multi-cycle producers exercise the issue scan's wake-up bounds.
+		d.Latency = 1 + (b[1]>>2)&3
 		if b[1]&1 != 0 {
 			d.Size, d.Thumb = 2, true
 			d.Expanded = b[1]&2 != 0
@@ -103,9 +105,11 @@ func fuzzConfig(b0, b1 byte) Config {
 }
 
 // FuzzBatchSim cross-checks BatchSim lane by lane against serial
-// Sim.RunStream on fuzz-chosen variant sets (machine knobs per lane) and
-// fuzz-synthesized short traces: any divergence, panic, or deadlock in the
-// lockstep broadcast is a finding.
+// Sim.RunStream, and each serial lane against the reference loop
+// (refRunStream) and the machine's physical cycle bounds, on fuzz-chosen
+// variant sets (machine knobs per lane) and fuzz-synthesized short traces:
+// any divergence, bound violation, panic, or deadlock in the lockstep
+// broadcast is a finding.
 func FuzzBatchSim(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x03\x07\x01\x00\x24\x02\x85\x40" +
@@ -129,6 +133,14 @@ func FuzzBatchSim(f *testing.F) {
 		for i, cfg := range cfgs {
 			fs := dfg.NewFanoutStream(trace.NewSliceSource(dyns, chunk), 128)
 			want[i] = New(cfg).RunStream(fs)
+			ref := New(cfg).refRunStream(dfg.NewFanoutStream(trace.NewSliceSource(dyns, chunk), 128))
+			if !reflect.DeepEqual(want[i], ref) {
+				t.Fatalf("lane %d (chunk %d, %d dyns): Result differs from the reference loop (%d vs %d cycles)",
+					i, chunk, len(dyns), want[i].Cycles, ref.Cycles)
+			}
+			if err := PhysicalBoundsErr(cfg, dyns, want[i]); err != nil {
+				t.Fatalf("lane %d (chunk %d, %d dyns): %v", i, chunk, len(dyns), err)
+			}
 		}
 		got := NewBatch(cfgs).RunStream(dfg.NewFanoutStream(trace.NewSliceSource(dyns, chunk), 128))
 		for i := range cfgs {

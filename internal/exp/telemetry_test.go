@@ -91,8 +91,8 @@ func TestSimWorkCounters(t *testing.T) {
 		cfg  cpu.Config
 		want counts
 	}{
-		{"default", cpu.DefaultConfig(), counts{74795, 276798, 55000, 35521}},
-		{"backend-prio", prio, counts{74784, 272637, 55000, 35511}},
+		{"default", cpu.DefaultConfig(), counts{74795, 117078, 0, 24622}},
+		{"backend-prio", prio, counts{74784, 117976, 55000, 24631}},
 	} {
 		ctx := QuickContext()
 		ctx.SetTelemetry(telemetry.NewRegistry())

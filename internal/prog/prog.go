@@ -144,6 +144,9 @@ type Program struct {
 	// CodeBytes is the total laid-out code size; valid after Layout.
 	CodeBytes uint32
 	laidOut   bool
+	// maxUID is the largest instruction UID, recorded by Layout (which
+	// walks every instruction anyway) so MaxUID need not walk them again.
+	maxUID uint32
 }
 
 // At returns the instruction named by id.
@@ -151,8 +154,12 @@ func (p *Program) At(id InstID) *Instr {
 	return &p.Funcs[id.Func].Blocks[id.Block].Instrs[id.Index]
 }
 
-// MaxUID returns the largest instruction UID in the program.
+// MaxUID returns the largest instruction UID in the program: the value
+// Layout recorded once the program is laid out, a fresh walk otherwise.
 func (p *Program) MaxUID() uint32 {
+	if p.laidOut {
+		return p.maxUID
+	}
 	var m uint32
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
@@ -178,6 +185,7 @@ func (p *Program) AssignUIDs() {
 			}
 		}
 	}
+	p.maxUID = next - 1
 }
 
 // NumInstrs returns the static instruction count.
@@ -201,6 +209,7 @@ func (p *Program) Clone() *Program {
 		RegionBytes:   append([]uint32(nil), p.RegionBytes...),
 		CodeBytes:     p.CodeBytes,
 		laidOut:       p.laidOut,
+		maxUID:        p.maxUID,
 	}
 	q.Funcs = make([]*Func, len(p.Funcs))
 	for i, f := range p.Funcs {
@@ -249,7 +258,7 @@ func (p *Program) LayoutOrder(order []int) {
 			seen[fi] = true
 		}
 	}
-	var addr uint32
+	var addr, maxUID uint32
 	for i := range p.Funcs {
 		f := p.Funcs[i]
 		if order != nil {
@@ -267,10 +276,12 @@ func (p *Program) LayoutOrder(order []int) {
 				}
 				in.Addr = addr
 				addr += uint32(in.Size())
+				maxUID = max(maxUID, in.UID)
 			}
 		}
 	}
 	p.CodeBytes = align(addr, 64)
+	p.maxUID = maxUID
 	p.laidOut = true
 }
 

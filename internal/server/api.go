@@ -171,6 +171,16 @@ type ErrorResponse struct {
 	Retryable bool `json:"retryable,omitempty"`
 }
 
+// ProfileAccepted is the 202 body of POST /v1/profiles: the sketch's app,
+// the content digest its wire form was archived under, and "accepted". The
+// fields are declared in alphabetical key order, the byte order clients
+// receive.
+type ProfileAccepted struct {
+	App    string `json:"app"`
+	Digest string `json:"digest"`
+	Status string `json:"status"`
+}
+
 // AppsResponse is the GET /v1/apps body: catalog names by suite.
 type AppsResponse struct {
 	Suites map[string][]string `json:"suites"`

@@ -360,6 +360,22 @@ func TestProfileArchive(t *testing.T) {
 	}
 }
 
+// TestProfileAcceptedWireForm: the typed ingest acknowledgement encodes to
+// the same bytes as a string map with the same keys.
+func TestProfileAcceptedWireForm(t *testing.T) {
+	digest := artifact.Sum([]byte("sketch"))
+	var got, want bytes.Buffer
+	if err := json.NewEncoder(&got).Encode(ProfileAccepted{App: "acrobat", Digest: digest, Status: "accepted"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewEncoder(&want).Encode(map[string]string{"status": "accepted", "app": "acrobat", "digest": digest}); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("acknowledgement encodes as %q, want %q", got.String(), want.String())
+	}
+}
+
 // scanIndexHit returns the hit attribute of a job's scan-index span.
 func scanIndexHit(t *testing.T, c *Client, id string) string {
 	t.Helper()

@@ -638,7 +638,7 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.log.Warn("archiving sketch failed", "app", sk.App, "err", err)
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "accepted", "app": sk.App, "digest": digest})
+	writeJSON(w, http.StatusAccepted, ProfileAccepted{App: sk.App, Digest: digest, Status: "accepted"})
 }
 
 // readBody reads a profile body of at most maxBodyBytes: a declared

@@ -62,14 +62,17 @@ func (s *GenSource) NextChunk() []Dyn {
 	if s.remaining <= 0 {
 		return nil
 	}
-	s.buf = s.buf[:0]
-	for len(s.buf) < cap(s.buf) && s.remaining > 0 {
-		d := s.g.step()
+	buf := s.buf[:cap(s.buf)]
+	n := 0
+	for n < len(buf) && s.remaining > 0 {
+		d := &buf[n]
+		s.g.stepInto(d)
 		if !d.Overhead {
 			s.remaining--
 		}
-		s.buf = append(s.buf, d)
+		n++
 	}
+	s.buf = buf[:n]
 	return s.buf
 }
 

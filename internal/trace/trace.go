@@ -146,7 +146,7 @@ func NewGenerator(p *prog.Program, seed int64) *Generator {
 	for i := range g.regProd {
 		g.regProd[i] = NoProd
 	}
-	nUID := int(p.MaxUID()) + 1
+	nUID := int(p.MaxUID()) + 1 // recorded by Layout: no per-generator walk
 	g.memCursor = make([]uint32, nUID)
 	g.execCount = make([]uint64, nUID)
 	g.seedHash = mix64(uint64(seed), 0x5bd1e995)
@@ -211,6 +211,14 @@ func (g *Generator) Skip(n int) {
 
 // step executes one dynamic instruction and advances control flow.
 func (g *Generator) step() Dyn {
+	var d Dyn
+	g.stepInto(&d)
+	return d
+}
+
+// stepInto is step writing the instruction in place: every field of *d is
+// overwritten, so d may be a reused slot of a chunk buffer.
+func (g *Generator) stepInto(d *Dyn) {
 	f := g.p.Funcs[g.curFunc]
 	b := f.Blocks[g.curBlock]
 	// Advance over empty blocks (with a safety bound against degenerate
@@ -224,6 +232,12 @@ func (g *Generator) step() Dyn {
 		b = f.Blocks[g.curBlock]
 	}
 	in := &b.Instrs[g.curIdx]
+	// Fields are stored one by one after zeroing: assigning a composite
+	// literal through a pointer builds it in a temporary and copies it.
+	*d = Dyn{}
+	d.Seq = g.seq
+	d.ID = prog.InstID{Func: g.curFunc, Block: g.curBlock, Index: g.curIdx}
+	d.Addr = in.Addr
 	// Expanded Thumb emissions (Compress, §V) execute as TWO dynamic
 	// instructions: a register-shuffle/constant-build helper halfword
 	// followed by the operation itself — the ~1.6x expansion cost of
@@ -232,33 +246,23 @@ func (g *Generator) step() Dyn {
 	// execute resources but performs no architectural work of its own.
 	if in.Expanded && !g.expandedHelper {
 		g.expandedHelper = true
-		h := Dyn{
-			Seq:      g.seq,
-			ID:       prog.InstID{Func: g.curFunc, Block: g.curBlock, Index: g.curIdx},
-			Addr:     in.Addr,
-			Op:       isa.OpMOV,
-			Class:    isa.ClassALU,
-			Size:     2,
-			Thumb:    true,
-			Overhead: true,
-			Latency:  1,
-		}
+		d.Op = isa.OpMOV
+		d.Class = isa.ClassALU
+		d.Size = 2
+		d.Thumb = true
+		d.Overhead = true
+		d.Latency = 1
 		g.seq++
-		return h
+		return
 	}
 	g.expandedHelper = false
-	d := Dyn{
-		Seq:      g.seq,
-		ID:       prog.InstID{Func: g.curFunc, Block: g.curBlock, Index: g.curIdx},
-		Addr:     in.Addr,
-		Op:       in.Op,
-		Class:    in.Op.ClassOf(),
-		Size:     uint8(in.Size()),
-		Thumb:    in.Thumb,
-		Expanded: in.Expanded,
-		Latency:  uint8(in.Op.BaseLatency()),
-		ChainID:  in.ChainID,
-	}
+	d.Op = in.Op
+	d.Class = in.Op.ClassOf()
+	d.Size = uint8(in.Size())
+	d.Thumb = in.Thumb
+	d.Expanded = in.Expanded
+	d.Latency = uint8(in.Op.BaseLatency())
+	d.ChainID = in.ChainID
 	if in.Expanded {
 		// The helper occupied the first halfword.
 		d.Addr = in.Addr + 2
@@ -363,7 +367,6 @@ func (g *Generator) step() Dyn {
 		}
 	}
 	g.seq++
-	return d
 }
 
 // leaveBlock moves control to the successor of b. For conditional ends,

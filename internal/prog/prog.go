@@ -145,7 +145,8 @@ type Program struct {
 	CodeBytes uint32
 	laidOut   bool
 	// maxUID is the largest instruction UID, recorded by Layout (which
-	// walks every instruction anyway) so MaxUID need not walk them again.
+	// walks every instruction anyway) and AssignUIDs, so MaxUID need not
+	// walk them again.
 	maxUID uint32
 }
 

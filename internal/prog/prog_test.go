@@ -331,6 +331,46 @@ func TestAtAndNumInstrs(t *testing.T) {
 	}
 }
 
+// TestMaxUIDRecordedByLayout: the value Layout records matches a walk of
+// the instructions, survives Clone and a relayout in another order, and an
+// inserted instruction with a larger UID shows after the next Layout.
+func TestMaxUIDRecordedByLayout(t *testing.T) {
+	p := twoFuncProgram()
+	p.AssignUIDs()
+	walk := func(p *Program) uint32 {
+		var m uint32
+		for _, f := range p.Funcs {
+			for _, b := range f.Blocks {
+				for i := range b.Instrs {
+					m = max(m, b.Instrs[i].UID)
+				}
+			}
+		}
+		return m
+	}
+	if got, want := p.MaxUID(), walk(p); got != want || want != 11 {
+		t.Fatalf("MaxUID before Layout = %d, walk = %d, want 11", got, want)
+	}
+	p.Layout()
+	q := p.Clone()
+	q.LayoutOrder([]int{1, 0})
+	if got := p.MaxUID(); got != 11 {
+		t.Errorf("laid out: MaxUID = %d, want 11", got)
+	}
+	if got := q.MaxUID(); got != 11 {
+		t.Errorf("clone relaid out: MaxUID = %d, want 11", got)
+	}
+	b := q.Funcs[1].Blocks[0]
+	b.Instrs = append([]Instr{{Inst: isa.Inst{Op: isa.OpNOP, Rd: isa.NoReg, Rn: isa.NoReg, Rm: isa.NoReg}, UID: 40}}, b.Instrs...)
+	q.Layout()
+	if got := q.MaxUID(); got != 40 {
+		t.Errorf("after inserting UID 40 and relayout: MaxUID = %d, want 40", got)
+	}
+	if got := p.MaxUID(); got != 11 {
+		t.Errorf("original after the clone's insert: MaxUID = %d, want 11", got)
+	}
+}
+
 func TestLayoutOrderPermutes(t *testing.T) {
 	p := twoFuncProgram()
 	p.Layout()

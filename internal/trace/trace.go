@@ -146,7 +146,7 @@ func NewGenerator(p *prog.Program, seed int64) *Generator {
 	for i := range g.regProd {
 		g.regProd[i] = NoProd
 	}
-	nUID := int(p.MaxUID()) + 1 // recorded by Layout: no per-generator walk
+	nUID := int(p.MaxUID()) + 1
 	g.memCursor = make([]uint32, nUID)
 	g.execCount = make([]uint64, nUID)
 	g.seedHash = mix64(uint64(seed), 0x5bd1e995)

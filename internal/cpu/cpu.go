@@ -349,8 +349,9 @@ type runBuffers struct {
 var runBufs = sync.Pool{New: func() any { return &runBuffers{} }}
 
 // Run simulates one materialized dynamic window. fanouts may be nil; when
-// provided (aligned with dyns, from dfg.Fanouts) it trains the criticality
-// table and drives the BackendPrio/CriticalLoadPrefetch hooks.
+// provided (aligned with dyns, from dfg.Fanouts) it drives the
+// BackendPrio/CriticalLoadPrefetch hooks through the criticality table it
+// trains (only when one of those hooks is set: nothing else reads it).
 //
 // Run is a thin adapter: the window is fed through RunStream chunk by chunk,
 // so the slice and streaming paths share one simulation loop and cannot

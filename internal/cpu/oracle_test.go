@@ -24,8 +24,8 @@ func quickWindows(t *testing.T, ctx *exp.Context, a workload.App, kind string) (
 	return warm, meas
 }
 
-// fanouts streams dyns with online fanouts, as a measurement does.
-func fanouts(dyns []trace.Dyn) cpu.Stream {
+// fanoutStream streams dyns with online fanouts, as a measurement does.
+func fanoutStream(dyns []trace.Dyn) cpu.Stream {
 	return dfg.NewFanoutStream(trace.NewSliceSource(dyns, trace.DefaultChunk), 128)
 }
 
@@ -63,8 +63,8 @@ func TestRunStreamMatchesReference(t *testing.T) {
 				cfg.CollectRecords = true
 				s, ref := cpu.New(cfg), cpu.New(cfg)
 				for w, dyns := range [][]trace.Dyn{warm, meas} {
-					got := s.RunStream(fanouts(dyns))
-					want := cpu.RefRunStream(ref, fanouts(dyns))
+					got := s.RunStream(fanoutStream(dyns))
+					want := cpu.RefRunStream(ref, fanoutStream(dyns))
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s %s %s window %d: RunStream differs from the reference (%d vs %d cycles)",
 							a.Params.Name, kind, c.name, w, got.Cycles, want.Cycles)
@@ -92,8 +92,8 @@ func TestPhysicalBoundsCatalog(t *testing.T) {
 		for _, kind := range []string{exp.VarBase, exp.VarCritIC} {
 			warm, meas := quickWindows(t, ctx, a, kind)
 			s := cpu.New(cfg)
-			s.RunStream(fanouts(warm))
-			res := s.RunStream(fanouts(meas))
+			s.RunStream(fanoutStream(warm))
+			res := s.RunStream(fanoutStream(meas))
 			if err := cpu.PhysicalBoundsErr(cfg, meas, res); err != nil {
 				t.Errorf("%s %s: %v", a.Params.Name, kind, err)
 			}

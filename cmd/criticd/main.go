@@ -24,8 +24,9 @@
 // /v1/jobs/{id}/trace, ?format=chrome for Perfetto), lifecycle events land
 // in the flight recorder (GET /debug/events?job=...), and stage latencies
 // (queue_wait/dispatch_rtt/compute/e2e) are exported with exemplar trace
-// ids for `criticctl slo` / `criticctl top`. -trace-out streams engine
-// spans to a file whose JSON document is completed on graceful drain.
+// ids for `criticctl slo` / `criticctl top`. -trace-out collects every
+// finished job's trace spans, shifted onto the daemon's clock, into one
+// Chrome JSON document that is completed on graceful drain.
 //
 // Distributed execution (internal/dist): -dist turns the daemon into a fleet
 // coordinator — jobs' measurement units are farmed out to workers, and the
@@ -72,7 +73,7 @@ func main() {
 		profileQueue = flag.Int("profile-queue", 256, "bounded fleet profile-sketch ingest queue (full queue refuses POST /v1/profiles with 429)")
 		quick        = flag.Bool("quick", false, "force reduced-scale windows for every job")
 		artifactDir  = flag.String("artifact-dir", "", "directory backing the content-addressed artifact store (persists across restarts; empty = temp dir removed at exit). Worker mode: the local warm cache for scan artifacts")
-		traceOut     = flag.String("trace-out", "", "write engine-level Chrome trace-event JSON here, flushed complete on graceful drain")
+		traceOut     = flag.String("trace-out", "", "write every finished job's trace spans here as Chrome trace-event JSON, flushed complete on graceful drain")
 		verbose      = flag.Bool("v", false, "structured request/job log on stderr")
 
 		worker      = flag.Bool("worker", false, "run as a task-execution worker instead of a job daemon")
@@ -113,9 +114,10 @@ func main() {
 		}
 	}
 
-	// The tracer streams spans for the daemon's whole lifetime; closeTrace
-	// terminates the JSON document. It runs after Shutdown on every exit
-	// path, so a SIGTERM drain never leaves a truncated trace behind.
+	// The tracer collects each finished job's spans for the daemon's whole
+	// lifetime; closeTrace terminates the JSON document. It runs after
+	// Shutdown on every exit path, so a SIGTERM drain never leaves a
+	// truncated trace behind.
 	closeTrace := func() {}
 	var tracer *telemetry.Tracer
 	if *traceOut != "" {
@@ -125,6 +127,7 @@ func main() {
 			os.Exit(1)
 		}
 		tracer = telemetry.NewTracer(f)
+		tracer.MetaProcessName(telemetry.EnginePID, "criticd jobs (wall-clock µs)")
 		closeTrace = func() {
 			if err := tracer.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "criticd: closing trace:", err)

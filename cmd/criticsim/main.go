@@ -13,11 +13,13 @@
 // Observability:
 //
 //	criticsim -app acrobat -quick -trace-out /tmp/t.json   # Chrome trace (Perfetto)
+//	criticsim -exp fig5a -quick -trace-out fig5a.json      # engine spans (exp, builds, maps)
 //	criticsim -all -metrics-addr :9120                     # /metrics + /debug/pprof
 //	criticsim -all -v                                      # structured progress log
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -28,6 +30,8 @@ import (
 	"time"
 
 	"critics"
+	"critics/internal/exp"
+	"critics/internal/obs"
 	"critics/internal/telemetry"
 )
 
@@ -94,30 +98,31 @@ func main() {
 		}()
 	}
 
-	// openTrace attaches an engine-span tracer for experiment runs (-app
-	// runs stream richer pipeline timelines through critics.TraceApp
-	// instead).
-	openTrace := func() (*telemetry.Tracer, *os.File) {
+	// traceRuns binds an obs trace to experiment runs (-app runs export
+	// pipeline timelines through critics.TraceApp instead): each run records
+	// an exp:<id> span over its memo builds and shard maps. The file is
+	// created up front, so a bad path fails before any work; the returned
+	// func writes the trace into it as Chrome JSON.
+	traceRuns := func() (context.Context, func()) {
+		if *traceOut == "" {
+			return context.Background(), func() {}
+		}
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		tr := telemetry.NewTracer(f)
-		tr.MetaProcessName(telemetry.EnginePID, "engine (wall-clock µs)")
-		return tr, f
-	}
-	closeTrace := func(tr *telemetry.Tracer, f *os.File) {
-		if err := tr.Close(); err == nil {
-			err = f.Close()
+		t := obs.NewTrace("criticsim")
+		return obs.ContextWith(context.Background(), t, ""), func() {
+			err := t.WriteChrome(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
 			logger.Info("trace written", "path", *traceOut)
-		} else {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
 		}
 	}
 
@@ -158,12 +163,7 @@ func main() {
 			"seconds", time.Since(start).Seconds())
 		fmt.Print(rep)
 	case *all:
-		var tracer *telemetry.Tracer
-		var traceFile *os.File
-		if *traceOut != "" {
-			tracer, traceFile = openTrace()
-			opts = append(opts, critics.WithTracer(tracer))
-		}
+		ctx, writeTrace := traceRuns()
 		// fig3a/b/c share a runner, as do fig10a/b/c and fig11a/b; run
 		// each runner once. A session caches programs/profiles/variants
 		// and measurements across experiments.
@@ -186,7 +186,7 @@ func main() {
 			ran[canon] = true
 			logger.Info("experiment start", "id", canon)
 			start := time.Now()
-			out, err := sess.Experiment(canon)
+			out, err := exp.RunContext(ctx, canon, sess.Context())
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -198,21 +198,14 @@ func main() {
 		if *cacheStats {
 			fmt.Print(sess.CacheStats())
 		}
-		if tracer != nil {
-			closeTrace(tracer, traceFile)
-		}
+		writeTrace()
 	case *expID != "":
 		requireValidName("experiment", *expID, critics.ExperimentIDs())
-		var tracer *telemetry.Tracer
-		var traceFile *os.File
-		if *traceOut != "" {
-			tracer, traceFile = openTrace()
-			opts = append(opts, critics.WithTracer(tracer))
-		}
+		ctx, writeTrace := traceRuns()
 		sess := critics.NewSession(opts...)
 		logger.Info("experiment start", "id", *expID)
 		start := time.Now()
-		out, err := sess.Experiment(*expID)
+		out, err := exp.RunContext(ctx, *expID, sess.Context())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -222,9 +215,7 @@ func main() {
 		if *cacheStats {
 			fmt.Print(sess.CacheStats())
 		}
-		if tracer != nil {
-			closeTrace(tracer, traceFile)
-		}
+		writeTrace()
 	default:
 		flag.Usage()
 		os.Exit(2)

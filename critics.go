@@ -36,6 +36,7 @@ import (
 	"critics/internal/exp"
 	"critics/internal/fleet"
 	"critics/internal/layout"
+	"critics/internal/obs"
 	"critics/internal/sched"
 	"critics/internal/sketch"
 	"critics/internal/telemetry"
@@ -140,31 +141,15 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *exp.Context) { c.SetTelemetry(reg) }
 }
 
-// WithTracer attaches a Chrome trace-event tracer; the engine emits
-// wall-clock spans for experiments and memo lookups (labeled hit/miss)
-// while it is set. Pipeline (cycle-domain) timelines are exported by
-// TraceApp.
-func WithTracer(tr *telemetry.Tracer) Option {
-	return func(c *exp.Context) { c.SetTracer(tr) }
-}
-
 // WithRemoteExecution routes the call's expensive work to a worker fleet:
 // measurement units (profile→compile→simulate, the dominant cost of every
-// experiment) dispatch through rm — typically a *dist.Coordinator — and,
-// when mapper is non-nil, shard maps run on it instead of a local pool so
-// many units are on the wire at once. Results are bit-identical to local
-// execution (the dist package's determinism test enforces it); a dispatch
-// failure falls back to computing locally. Either argument may be nil to
-// enable only half the wiring.
-func WithRemoteExecution(rm exp.Remote, mapper sched.Mapper) Option {
-	return func(c *exp.Context) {
-		if rm != nil {
-			c.SetRemote(rm)
-		}
-		if mapper != nil {
-			c.SetMapper(mapper)
-		}
-	}
+// experiment) dispatch through rm — typically a *dist.Coordinator — and
+// shard maps run at least rm.Width() wide so many units are on the wire at
+// once. Results are bit-identical to local execution (the dist package's
+// determinism test enforces it); a dispatch failure falls back to computing
+// locally.
+func WithRemoteExecution(rm exp.Remote) Option {
+	return func(c *exp.Context) { c.SetRemote(rm) }
 }
 
 // SharedCaches is an opaque handle to a process-wide artifact cache bundle:
@@ -322,29 +307,35 @@ const (
 	criticPID   = 11
 )
 
-// TraceApp runs the same pipeline as OptimizeApp and streams a Chrome
+// TraceApp runs the same pipeline as OptimizeApp and writes a Chrome
 // trace-event JSON document to w (open the file in Perfetto or
 // chrome://tracing): per-instruction stage timelines of the measured window
 // for the baseline and CritIC binaries — stall intervals under the paper's
 // §II-D attribution taxonomy, CDP mode-switch and mispredict-redirect
-// markers, fetch-buffer/ROB occupancy — plus wall-clock engine spans
-// (profile, compile, measure; memo lookups labeled hit/miss). The caller
-// owns closing w.
+// markers, fetch-buffer/ROB occupancy — plus the run's wall-clock engine
+// spans (one per memo build: program, profile, variant, measurement) with
+// the memo hit and miss counts. The caller owns closing w.
 func TraceApp(name string, w io.Writer, opts ...Option) (*Report, error) {
 	return TraceAppContext(context.Background(), name, w, opts...)
 }
 
 // TraceAppContext is TraceApp with cancellation (see OptimizeAppContext for
-// the semantics). A cancelled run may have written a partial trace document
-// to w; the caller should discard it.
+// the semantics); a cancelled run writes nothing to w. The engine spans come
+// from the obs trace ctx carries — a served trace job's, so the document
+// also holds the job's other spans — or from a trace of the run's own.
 func TraceAppContext(ctx context.Context, name string, w io.Writer, opts ...Option) (*Report, error) {
-	tr := telemetry.NewTracer(w)
-	tr.MetaProcessName(telemetry.EnginePID, "engine (wall-clock µs)")
-	opts = append(opts, WithTracer(tr))
+	t, _, ok := obs.FromContext(ctx)
+	if !ok {
+		t = obs.NewTrace(name)
+		ctx = obs.ContextWith(ctx, t, "")
+	}
 	rep, ms, err := optimizeApp(ctx, name, true, opts...)
 	if err != nil {
 		return nil, err
 	}
+	tr := telemetry.NewTracer(w)
+	tr.MetaProcessName(telemetry.EnginePID, "engine (wall-clock µs)")
+	t.EmitChrome(tr, 0)
 	mBase, mOpt := ms[0], ms[1]
 	cpu.ExportWindow(tr, baselinePID, name+" baseline pipeline (ts in cycles)", mBase.Dyns, mBase.Res.Records)
 	cpu.ExportWindow(tr, criticPID, name+" critic pipeline (ts in cycles)", mOpt.Dyns, mOpt.Res.Records)

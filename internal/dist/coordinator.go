@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,7 +17,6 @@ import (
 	"critics/internal/exp"
 	"critics/internal/obs"
 	"critics/internal/scan"
-	"critics/internal/sched"
 	"critics/internal/telemetry"
 )
 
@@ -52,9 +50,9 @@ type Config struct {
 	// unhealthy. Default 2.
 	FailAfter int
 
-	// Oversubscribe multiplies the fleet's healthy capacity when sizing
-	// Map's local shard pool, keeping workers saturated while shards block
-	// on the wire. Default 2.
+	// Oversubscribe multiplies the fleet's healthy capacity into Width, the
+	// floor on an experiment's shard pool, keeping workers saturated while
+	// shards block on the wire. Default 2.
 	Oversubscribe int
 
 	// Registry receives the coordinator's metric families; nil disables them.
@@ -86,11 +84,11 @@ type workerState struct {
 	tasksTotal *telemetry.Counter // nil when metrics are off
 }
 
-// Coordinator partitions experiment work across a worker fleet. It implements
-// exp.Remote (MeasureRemote dispatches one measurement unit with retry and
-// hedging) and sched.Mapper (Map runs shard closures on an oversubscribed
-// local pool so many units are on the wire at once). Construct with
-// NewCoordinator; stop with Drain then Close.
+// Coordinator partitions experiment work across a worker fleet. It is an
+// exp.Remote: MeasureRemote dispatches one measurement unit with retry and
+// hedging, and Width sizes the experiment's own shard pool so many units are
+// on the wire at once. ScanRemote does the same for scan batches. Construct
+// with NewCoordinator; stop with Drain then Close.
 type Coordinator struct {
 	cfg  Config
 	log  *slog.Logger
@@ -693,33 +691,23 @@ func (c *Coordinator) post(ctx context.Context, w *workerState, task Task, trace
 	return &tr, nil
 }
 
-// Map implements sched.Mapper by running shard closures on a local pool wide
-// enough to keep the fleet saturated: healthy capacity × Oversubscribe, but
-// never narrower than GOMAXPROCS (local fallbacks still need CPU). Each
-// closure's measurement cache misses dispatch through MeasureRemote, so the
-// pool's width is the number of tasks in flight, and the sched.Pool Map
-// contract (every index exactly once, caller writes index-addressed slots)
-// carries the determinism guarantee through unchanged.
-func (c *Coordinator) Map(n int, f func(i int)) {
-	width := runtime.GOMAXPROCS(0)
+// Width implements exp.Remote: the fleet's healthy capacity ×
+// Oversubscribe. An experiment context's shard pool runs at least this wide,
+// so while shards block on the wire the workers stay saturated; local
+// fallbacks still get the context's own worker bound.
+func (c *Coordinator) Width() int {
 	c.mu.Lock()
-	fleetCap := 0
+	defer c.mu.Unlock()
+	capacity := 0
 	for _, w := range c.workers {
 		if w.healthy {
-			fleetCap += w.capacity
+			capacity += w.capacity
 		}
 	}
-	c.mu.Unlock()
-	if fleet := fleetCap * c.cfg.Oversubscribe; fleet > width {
-		width = fleet
-	}
-	sched.NewPool(width).Named("dist").Map(n, f)
+	return capacity * c.cfg.Oversubscribe
 }
 
-var (
-	_ exp.Remote   = (*Coordinator)(nil)
-	_ sched.Mapper = (*Coordinator)(nil)
-)
+var _ exp.Remote = (*Coordinator)(nil)
 
 // Handler returns the coordinator's fleet-management HTTP API, mounted into
 // criticd's mux under /dist/v1/ when distribution is enabled.

@@ -1,13 +1,19 @@
 package dist
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"critics"
 	"critics/internal/exp"
+	"critics/internal/obs"
+	"critics/internal/sched"
 	"critics/internal/telemetry"
 	"critics/internal/trace"
 )
@@ -84,7 +90,6 @@ func TestDistributedDeterminism(t *testing.T) {
 
 			c := distCtx(4)
 			c.SetRemote(coord)
-			c.SetMapper(coord)
 			got, err := exp.Run(id, c)
 			if err != nil {
 				t.Fatalf("%s (distributed): %v", id, err)
@@ -103,5 +108,74 @@ func TestDistributedDeterminism(t *testing.T) {
 			t.Logf("%s: dispatched=%d retried=%d failed=%d", id,
 				m.dispatched.Value(), m.retried.Value(), m.failed.Value())
 		})
+	}
+}
+
+// shardMaps runs experiment id under a fresh trace and returns its map:exp
+// span ids with their shards attribute.
+func shardMaps(t *testing.T, id string, opts ...critics.Option) map[string]string {
+	t.Helper()
+	tr := obs.NewTrace(id)
+	if _, err := critics.ExperimentContext(obs.ContextWith(context.Background(), tr, ""), id, opts...); err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	spans, _ := tr.Snapshot()
+	maps := map[string]string{}
+	for _, s := range spans {
+		if strings.HasPrefix(s.ID, "map:exp#") {
+			maps[s.ID] = ""
+			for _, a := range s.Attrs {
+				if a.Key == "shards" {
+					maps[s.ID] = a.Value
+				}
+			}
+		}
+	}
+	return maps
+}
+
+// TestDistributedRunRecordsShardMaps: an experiment whose measurements run
+// on the fleet still shards on the context's own pool, so its trace holds
+// the same map:exp spans as a local run (one per shard map, each with its
+// shard count) and the exp pool's task counter counts every shard.
+func TestDistributedRunRecordsShardMaps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real experiment; skipped in -short")
+	}
+	want := shardMaps(t, "fig3a", critics.WithQuickScale())
+	if len(want) == 0 {
+		t.Fatal("local fig3a recorded no shard map")
+	}
+
+	w1 := NewWorker(WorkerConfig{})
+	srv1 := httptest.NewServer(w1.Handler())
+	defer srv1.Close()
+	w2 := NewWorker(WorkerConfig{})
+	srv2 := httptest.NewServer(w2.Handler())
+	defer srv2.Close()
+	reg := telemetry.NewRegistry()
+	coord := NewCoordinator(Config{HedgeDelay: -1, Registry: reg})
+	defer coord.Close()
+	coord.AddWorkerCapacity(srv1.URL, 2)
+	coord.AddWorkerCapacity(srv2.URL, 2)
+
+	got := shardMaps(t, "fig3a", critics.WithQuickScale(), critics.WithTelemetry(reg),
+		critics.WithRemoteExecution(coord))
+	if coord.met.dispatched.Value() == 0 {
+		t.Fatal("no tasks were dispatched; the remote path was not exercised")
+	}
+	shards := 0
+	for id, n := range want {
+		if got[id] != n {
+			t.Errorf("distributed %s: shards %q, want %q as in the local run", id, got[id], n)
+		}
+		k, _ := strconv.Atoi(n)
+		shards += k
+	}
+	if len(got) != len(want) {
+		t.Errorf("distributed run recorded shard maps %v, want %v", got, want)
+	}
+	if done := sched.NewPoolMetrics(reg, "exp").TasksDone.Value(); done != int64(shards) {
+		t.Errorf("critics_pool_tasks_done_total{pool=\"exp\"} = %d, want %d", done, shards)
 	}
 }

@@ -1,12 +1,13 @@
 // Package dist is the distributed shard execution subsystem: a Coordinator
 // that farms an experiment's measurement units out to a fleet of Workers
-// over HTTP/JSON, behind the sched.Mapper / exp.Remote abstractions so the
-// experiment code is unchanged between local and distributed runs.
+// over HTTP/JSON, behind the exp.Remote abstraction so the experiment code
+// is unchanged between local and distributed runs.
 //
 // The unit of work is one exp.MeasureRequest — the serializable form of an
 // exp.Context.MeasureVariant call, the profile→compile→simulate leaf that
-// dominates every experiment's cost. The coordinator runs shard closures on
-// local goroutines (Coordinator.Map); each closure's measurement cache miss
+// dominates every experiment's cost. The experiment context runs its shard
+// closures on its own sched.Pool, at least Coordinator.Width wide (healthy
+// capacity × oversubscription); each closure's measurement cache miss
 // dispatches a Task to a worker (Coordinator.MeasureRemote), and the decoded
 // TaskResult is written into the same preallocated, index-addressed memo
 // slot a local build would have filled. Every wire field is integer- or

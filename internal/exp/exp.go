@@ -30,7 +30,6 @@ import (
 	"critics/internal/layout"
 	"critics/internal/prog"
 	"critics/internal/sched"
-	"critics/internal/telemetry"
 	"critics/internal/trace"
 	"critics/internal/workload"
 )
@@ -66,11 +65,9 @@ type Context struct {
 	// (SetRunContext).
 	runCtx context.Context
 
-	// mapper, when non-nil, replaces the local worker pool for shard maps
-	// (SetMapper); remote, when non-nil, executes measurement units
-	// elsewhere (SetRemote). Both hooks preserve results bit-for-bit — they
-	// only move where the work runs.
-	mapper sched.Mapper
+	// remote, when non-nil, executes measurement units elsewhere
+	// (SetRemote) and widens the shard pool to its Width. It preserves
+	// results bit-for-bit — it only moves where the work runs.
 	remote Remote
 
 	// serialSweeps forces MeasureBatch to build each miss as its own
@@ -87,10 +84,9 @@ type Context struct {
 	L1IPolicy  string
 	CodeLayout string
 
-	// Observability hooks (telemetry.go); both nil by default, costing the
-	// engine nothing.
-	tel    *Telemetry
-	tracer *telemetry.Tracer
+	// tel is the metrics bundle (telemetry.go); nil by default, costing the
+	// engine nothing. Spans go to the obs trace the run context carries.
+	tel *Telemetry
 }
 
 type variantEntry struct {
@@ -191,18 +187,14 @@ func (c *Context) validFn() func() bool {
 	return func() bool { return ctx.Err() == nil }
 }
 
-// SetMapper routes the context's shard maps (Context.forEach) through m
-// instead of a locally constructed sched.Pool. nil restores the local pool.
-// The mapper must uphold the sched determinism contract; under it, results
-// are identical for every mapper.
-func (c *Context) SetMapper(m sched.Mapper) { c.mapper = m }
-
 // SetRemote routes measurement units (the expensive profile→compile→simulate
 // leaf of every experiment) through r: each measurement cache miss
 // dispatches its own MeasureRequest instead of computing locally, and the
 // returned measurement is cached as if it had been built here. A dispatch
 // error falls back to local computation, so a degraded or empty fleet slows
-// a run down but never fails it. nil restores local execution.
+// a run down but never fails it. While r is attached, shard maps run at
+// least r.Width() wide, so that many units can be on the wire at once. nil
+// restores local execution.
 func (c *Context) SetRemote(r Remote) { c.remote = r }
 
 // QuickContext returns a reduced-scale context for tests and benchmarks.
@@ -580,6 +572,11 @@ type Remote interface {
 	// must be bit-identical to a local execution of the same request; an
 	// error makes the caller fall back to computing locally.
 	MeasureRemote(ctx context.Context, req MeasureRequest) (*Measurement, error)
+
+	// Width is how many shards to keep in flight so the remote side stays
+	// busy; shard maps run at least this wide. 0 leaves them at the
+	// context's worker bound.
+	Width() int
 }
 
 // ExecuteMeasure runs one measurement request against the given cache bundle
@@ -686,29 +683,19 @@ func Suites() map[string][]workload.App {
 // SuiteOrder is the presentation order of suites.
 var SuiteOrder = []string{"spec.int", "spec.float", "android"}
 
-// forEach runs f over indices 0..n-1 on the context's mapper — the attached
-// sched.Mapper when one is set (distributed execution), a locally
-// constructed worker pool otherwise — and waits. Results must be written to
-// preallocated, index-addressed storage; order-sensitive reductions happen
-// after it returns (the sched package's determinism contract).
+// forEach runs f over indices 0..n-1 on a worker pool and waits. The pool
+// runs at the context's worker bound, widened to the attached Remote's Width
+// under distribution; it stops dispatching once the run context is
+// cancelled, and it records its metrics and "map:exp" span. Results must be
+// written to preallocated, index-addressed storage; order-sensitive
+// reductions happen after it returns (the sched package's determinism
+// contract).
 func (c *Context) forEach(n int, f func(i int)) {
-	if m := c.mapper; m != nil {
-		g := f
-		if ctx := c.runCtx; ctx != nil {
-			// Match the pool's cancellation semantics: stop running queued
-			// shards once the context is done (partial results are
-			// discarded by the caller).
-			g = func(i int) {
-				if ctx.Err() != nil {
-					return
-				}
-				f(i)
-			}
-		}
-		m.Map(n, g)
-		return
+	w := c.workers()
+	if c.remote != nil {
+		w = max(w, c.remote.Width())
 	}
-	p := sched.NewPool(c.workers()).Named("exp")
+	p := sched.NewPool(w).Named("exp")
 	if c.tel != nil {
 		p.Instrument(c.tel.Pool)
 	}

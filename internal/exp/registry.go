@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"critics/internal/obs"
 	"critics/internal/telemetry"
 )
 
@@ -53,8 +54,7 @@ func IDs() []string {
 }
 
 // Run executes the experiment with the given id. With telemetry attached it
-// observes the run's wall time under critics_experiment_seconds{exp=id};
-// with a tracer attached it wraps the run in an engine-level span.
+// observes the run's wall time under critics_experiment_seconds{exp=id}.
 func Run(id string, c *Context) (string, error) {
 	return RunContext(context.Background(), id, c)
 }
@@ -65,7 +65,9 @@ func Run(id string, c *Context) (string, error) {
 // once ctx is done. A cancelled run returns ctx's error and no output.
 // Runners assume complete artifacts, so a shard skipped by cancellation can
 // surface as a panic mid-format; RunContext converts such panics back into
-// the context error (a panic with a live context still propagates).
+// the context error (a panic with a live context still propagates). When ctx
+// carries an obs trace, a completed run records an "exp:<id>" span there
+// that parents the run's builds and shard maps.
 func RunContext(ctx context.Context, id string, c *Context) (out string, err error) {
 	r, ok := registry[id]
 	if !ok {
@@ -74,8 +76,10 @@ func RunContext(ctx context.Context, id string, c *Context) (out string, err err
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
+	span := "exp:" + id
+	t, parent, traced := obs.FromContext(ctx)
 	prev := c.runCtx
-	c.SetRunContext(ctx)
+	c.SetRunContext(obs.ContextWith(ctx, t, span))
 	defer c.SetRunContext(prev)
 	defer func() {
 		if p := recover(); p != nil {
@@ -86,9 +90,9 @@ func RunContext(ctx context.Context, id string, c *Context) (out string, err err
 			panic(p)
 		}
 	}()
-	var spanStart int64
-	if c.tracer != nil {
-		spanStart = c.tracer.Now()
+	var t0 int64
+	if traced {
+		t0 = t.Now()
 	}
 	start := time.Now()
 	out = r(c)
@@ -98,8 +102,8 @@ func RunContext(ctx context.Context, id string, c *Context) (out string, err err
 			expSecondsBuckets, telemetry.L("exp", id)).
 			Observe(time.Since(start).Seconds())
 	}
-	if c.tracer != nil {
-		c.tracer.Span(telemetry.EnginePID, "exp:"+id, "experiment", spanStart, c.tracer.Now()-spanStart)
+	if traced {
+		t.Add(obs.Span{ID: span, Parent: parent, Name: span, StartUS: t0, DurUS: t.Now() - t0})
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		return "", cerr

@@ -68,6 +68,8 @@ func (r *gateRemote) MeasureRemote(ctx context.Context, req MeasureRequest) (*Me
 	return ExecuteMeasure(ctx, req, nil)
 }
 
+func (r *gateRemote) Width() int { return 0 }
+
 // TestSweepGroupsBoundedByWorkers: a sweep's kind groups are in flight
 // together, up to the context's worker bound and never beyond it, and the
 // results are the serial schedule's.
@@ -133,6 +135,8 @@ func (r *cancelRemote) MeasureRemote(_ context.Context, req MeasureRequest) (*Me
 	r.cancel()
 	return ExecuteMeasure(context.Background(), req, nil)
 }
+
+func (r *cancelRemote) Width() int { return 0 }
 
 // TestCancelledSweepRetainsNothing: a sweep cancelled while groups are in
 // flight retains none of their measurements in the memo, complete ones

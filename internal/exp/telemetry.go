@@ -89,14 +89,6 @@ func (c *Context) Registry() *telemetry.Registry {
 	return c.tel.reg
 }
 
-// SetTracer attaches a Chrome trace-event tracer; engine-level spans
-// (experiments, memo lookups with hit/miss) are emitted on
-// telemetry.EnginePID while it is non-nil.
-func (c *Context) SetTracer(tr *telemetry.Tracer) { c.tracer = tr }
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (c *Context) Tracer() *telemetry.Tracer { return c.tracer }
-
 // registerMemo exposes one memo cache's counters on the registry, reading
 // the cache's own atomics at scrape time.
 func registerMemo[V any](reg *telemetry.Registry, name string, m *sched.Memo[V]) {
@@ -115,10 +107,11 @@ func registerMemo[V any](reg *telemetry.Registry, name string, m *sched.Memo[V])
 
 // memoGet wraps a memo lookup with the context's cancellation-validity check
 // (builds finished under a cancelled run context are discarded, never
-// retained) and an engine-level trace span labeled with the hit/miss
-// outcome. With no tracer and no run context attached it is exactly
-// Memo.Get. Under cancellation the returned value may be the zero value —
-// callers observe Context.Err and discard the run's outputs.
+// retained) and, when the run context carries an obs trace, counts the
+// outcome on it and records a build span for a miss. With no run context
+// bound it is exactly Memo.Get. Under cancellation the returned value may be
+// the zero value — callers observe Context.Err and discard the run's
+// outputs.
 func memoGet[V any](c *Context, m *sched.Memo[V], span string, key sched.Key, build func() V, cost func(V) int64) V {
 	valid := c.validFn()
 	if valid != nil && !valid() {
@@ -128,36 +121,24 @@ func memoGet[V any](c *Context, m *sched.Memo[V], span string, key sched.Key, bu
 		var zero V
 		return zero
 	}
-	tr := c.tracer
 	ot, oparent, obsOn := obs.FromContext(c.runCtx)
-	if tr == nil && !obsOn {
+	if !obsOn {
 		v, _ := m.GetChecked(key, build, cost, valid)
 		return v
 	}
-	var t0, o0 int64
-	if tr != nil {
-		t0 = tr.Now()
-	}
-	if obsOn {
-		o0 = ot.Now()
-	}
+	o0 := ot.Now()
 	v, hit := m.GetChecked(key, build, cost, valid)
-	if tr != nil {
-		tr.Span(telemetry.EnginePID, span, "memo", t0, tr.Now()-t0, telemetry.Bool("hit", hit))
-	}
-	if obsOn {
-		// Hits only bump the trace's memo counters; the builder (hit=false)
-		// records a span whose id derives from the content key, so the span
-		// set of a run is reproducible regardless of shard scheduling.
-		if hit {
-			ot.MemoHit()
-		} else {
-			ot.MemoMiss()
-			ot.Add(obs.Span{
-				ID: obs.BuildSpanID(span, keyHex8(key)), Parent: oparent,
-				Name: span, StartUS: o0, DurUS: ot.Now() - o0,
-			})
-		}
+	// Hits only bump the trace's memo counters; the builder (hit=false)
+	// records a span whose id derives from the content key, so the span set
+	// of a run is reproducible regardless of shard scheduling.
+	if hit {
+		ot.MemoHit()
+	} else {
+		ot.MemoMiss()
+		ot.Add(obs.Span{
+			ID: obs.BuildSpanID(span, keyHex8(key)), Parent: oparent,
+			Name: span, StartUS: o0, DurUS: ot.Now() - o0,
+		})
 	}
 	return v
 }

@@ -5,8 +5,10 @@
 // Three pillars:
 //
 //   - Tracing (span.go): a per-job Trace collects Spans — admission, queue
-//     wait, compute, memo builds, dispatch/retry/hedge legs, remote worker
-//     compute — into one tree retrievable at GET /v1/jobs/{id}/trace. The
+//     wait, compute, experiment runs, shard maps, memo builds,
+//     dispatch/retry/hedge legs, remote worker compute — into one tree
+//     retrievable at GET /v1/jobs/{id}/trace. It is the engine's only span
+//     path: every Chrome export renders it through Trace.EmitChrome. The
 //     trace context rides through the engine on context.Context values
 //     (ContextWith / FromContext) and across the /dist/v1 wire as the
 //     TraceHeader / ParentHeader HTTP headers; worker-side spans come back

@@ -163,32 +163,48 @@ func (t *Trace) Tree() *TraceDoc {
 	return doc
 }
 
-// WriteChrome exports the trace as Chrome trace-event JSON (the same format
-// as telemetry.Tracer's pipeline exports), loadable in Perfetto alongside
-// PR 2's sim traces. Spans render in start order on auto-assigned lanes of
-// one process track named after the trace.
+// WriteChrome writes the trace as a standalone Chrome trace-event JSON
+// document, loadable in Perfetto, in the trace's own time domain: one
+// process track named after the trace, filled by EmitChrome.
 func (t *Trace) WriteChrome(w io.Writer) error {
-	spans, _ := t.Snapshot()
+	tr := telemetry.NewTracer(w)
+	tr.MetaProcessName(telemetry.EnginePID, "trace "+t.id)
+	t.EmitChrome(tr, 0)
+	return tr.Close()
+}
+
+// EmitChrome renders the trace's spans into tr as complete events on the
+// engine track (telemetry.EnginePID), in start order on auto-assigned
+// lanes, each shifted by shiftUS into tr's time domain and carrying its id,
+// site, attributes and the trace id as args. When the trace counted memo
+// lookups or dropped spans, an instant event on lane 0 at the trace's
+// current time carries those counts. It is the one place spans become
+// Chrome events: WriteChrome, critics.TraceApp and criticd's -trace-out all
+// use it.
+func (t *Trace) EmitChrome(tr *telemetry.Tracer, shiftUS int64) {
+	spans, dropped := t.Snapshot()
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].StartUS != spans[j].StartUS {
 			return spans[i].StartUS < spans[j].StartUS
 		}
 		return spans[i].ID < spans[j].ID
 	})
-	tr := telemetry.NewTracer(w)
-	tr.MetaProcessName(telemetry.EnginePID, "criticd job "+t.id)
 	for _, s := range spans {
-		args := make([]telemetry.Arg, 0, len(s.Attrs)+2)
-		args = append(args, telemetry.Str("id", s.ID))
+		args := make([]telemetry.Arg, 0, len(s.Attrs)+3)
+		args = append(args, telemetry.Str("id", s.ID), telemetry.Str("trace", t.id))
 		if s.Site != "" {
 			args = append(args, telemetry.Str("site", s.Site))
 		}
 		for _, a := range s.Attrs {
 			args = append(args, telemetry.Str(a.Key, a.Value))
 		}
-		tr.Span(telemetry.EnginePID, s.Name, "obs", s.StartUS, s.DurUS, args...)
+		tr.Span(telemetry.EnginePID, s.Name, "obs", s.StartUS+shiftUS, s.DurUS, args...)
 	}
-	return tr.Close()
+	hits, misses := t.hits.Load(), t.misses.Load()
+	if hits+misses+int64(dropped) > 0 {
+		tr.Instant(telemetry.EnginePID, 0, "trace "+t.id, "obs", t.Now()+shiftUS, telemetry.Int("memo_hits", hits),
+			telemetry.Int("memo_misses", misses), telemetry.Int("dropped_spans", int64(dropped)))
+	}
 }
 
 // Merge rebases and adds spans recorded in another time domain (a worker's

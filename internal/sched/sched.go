@@ -25,18 +25,6 @@ import (
 	"critics/internal/telemetry"
 )
 
-// Mapper is the shard execution abstraction: Map runs f(i) for every index
-// in [0, n) and returns after all of them completed. *Pool is the local
-// in-process implementation; internal/dist's Coordinator maps shards over a
-// worker fleet. Every implementation must uphold the determinism contract in
-// the package doc — each index runs exactly once (cancellation excepted, in
-// which case the caller discards the partial results) and callers perform
-// order-sensitive merges only after Map returns — so swapping one Mapper for
-// another never changes results, only wall-clock.
-type Mapper interface {
-	Map(n int, f func(i int))
-}
-
 // Pool is a bounded worker pool. The zero value is not useful; construct
 // with NewPool. Pools carry no state beyond the worker bound and optional
 // observability/cancellation hooks, so they are cheap to create per call
@@ -89,8 +77,6 @@ func (p *Pool) cancelled() bool {
 
 // Workers returns the resolved worker bound.
 func (p *Pool) Workers() int { return p.workers }
-
-var _ Mapper = (*Pool)(nil)
 
 // PoolMetrics are a pool's registry series; share one bundle across pools
 // created for the same purpose (they are labeled by pool name, not

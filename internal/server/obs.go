@@ -15,6 +15,7 @@ import (
 //	job                    admission → terminal state
 //	├── queue              admission → dequeue (stage queue_wait)
 //	└── compute            execute() wall time (stage compute)
+//	    ├── exp:<id>       experiment jobs: the run, parenting the two below
 //	    ├── map:…          shard fan-outs (sched.Pool)
 //	    └── b:…            memo builds, each with dispatch/retry legs and
 //	        └── …:a1/…     merged worker spans when distribution is on
@@ -72,9 +73,10 @@ func (s *Server) endJobTrace(j *job, computeStart int64, state JobState) int64 {
 }
 
 // finishJob observes a finished job's compute and e2e SLO stages (its trace
-// ended at now) and appends its terminal flight-recorder event. A failed job
-// additionally dumps its flight-recorder events to the log, so a postmortem
-// starts with the sequence of events in hand.
+// ended at now), appends its terminal flight-recorder event and hands its
+// spans to Config.Tracer. A failed job additionally dumps its
+// flight-recorder events to the log, so a postmortem starts with the
+// sequence of events in hand.
 func (s *Server) finishJob(j *job, computeStart, now int64) {
 	if j.trace == nil {
 		return
@@ -82,6 +84,11 @@ func (s *Server) finishJob(j *job, computeStart, now int64) {
 	st := j.Status()
 	s.obsv.Stages.Observe(obs.StageCompute, float64(now-computeStart)/1e6, j.id)
 	s.obsv.Stages.Observe(obs.StageE2E, float64(now)/1e6, j.id)
+	if tr := s.cfg.Tracer; tr != nil {
+		// The job's clock starts at admission, the tracer's when the daemon
+		// started; reading both now gives the shift between them.
+		j.trace.EmitChrome(tr, tr.Now()-j.trace.Now())
+	}
 
 	ev := obs.EvCompleted
 	switch st.State {

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -234,5 +237,160 @@ func TestBuildInfoGauge(t *testing.T) {
 	}
 	if v, ok := obs.MetricValue(text, "critics_build_info", map[string]string{"component": "criticd"}); !ok || v != 1 {
 		t.Fatalf("critics_build_info{component=criticd} = %v %v, want 1", v, ok)
+	}
+}
+
+// chromeEvent is the part of a Chrome trace event the export tests read.
+type chromeEvent struct {
+	Ph   string         `json:"ph"`
+	Pid  int            `json:"pid"`
+	TS   int64          `json:"ts"`
+	Dur  int64          `json:"dur"`
+	Args map[string]any `json:"args"`
+}
+
+// chromeEvents decodes a Chrome trace-event JSON document.
+func chromeEvents(t *testing.T, raw []byte) []chromeEvent {
+	t.Helper()
+	var doc struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("not a Chrome trace-event document: %v", err)
+	}
+	return doc.TraceEvents
+}
+
+// spansOf returns the complete events a job's trace contributed, by span id.
+func spansOf(evs []chromeEvent, job string) map[string]chromeEvent {
+	out := map[string]chromeEvent{}
+	for _, e := range evs {
+		if id, _ := e.Args["id"].(string); e.Ph == "X" && e.Args["trace"] == job {
+			out[id] = e
+		}
+	}
+	return out
+}
+
+// buildIDs returns the memo build span ids ("b:…") among ids.
+func buildIDs[V any](ids map[string]V) []string {
+	var out []string
+	for id := range ids {
+		if strings.HasPrefix(id, "b:") {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestTraceJobResult: a served trace job's Result.Trace carries the baseline
+// and CritIC pipeline tracks and the job's own build spans — the ones its job
+// trace holds.
+func TestTraceJobResult(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the real pipeline")
+	}
+	_, c := start(t, Config{QueueSize: 4, Workers: 1, QuickScale: true})
+	ctx := context.Background()
+	st, err := c.Submit(ctx, SubmitRequest{Kind: KindTrace, App: "acrobat"})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if st, err = c.Wait(ctx, st.ID, time.Minute); err != nil || st.State != StateSucceeded {
+		t.Fatalf("trace job: %v %s %s", err, st.State, st.Error)
+	}
+	raw, err := c.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatalf("result: %v", err)
+	}
+	var res struct {
+		Trace json.RawMessage `json:"trace"`
+	}
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatalf("result decode: %v", err)
+	}
+	evs := chromeEvents(t, res.Trace)
+	pids := map[int]int{}
+	for _, e := range evs {
+		pids[e.Pid]++
+	}
+	if pids[10] == 0 || pids[11] == 0 { // critics.TraceApp's baseline and CritIC tracks
+		t.Errorf("events per pid %v: want both pipeline tracks (pids 10 and 11)", pids)
+	}
+
+	tree, err := c.Trace(ctx, st.ID, "")
+	if err != nil {
+		t.Fatalf("trace: %v", err)
+	}
+	var doc obs.TraceDoc
+	if err := json.Unmarshal(tree, &doc); err != nil {
+		t.Fatalf("trace decode: %v", err)
+	}
+	traced := map[string]bool{}
+	var walk func(ns []*obs.Node)
+	walk = func(ns []*obs.Node) {
+		for _, n := range ns {
+			traced[n.ID] = true
+			walk(n.Children)
+		}
+	}
+	walk(doc.Spans)
+	got, want := buildIDs(spansOf(evs, st.ID)), buildIDs(traced)
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("Result.Trace build spans %v, want the job trace's %v", got, want)
+	}
+}
+
+// TestConfigTracerGetsFinishedJobs: Config.Tracer receives each finished
+// job's spans on the tracer's clock. After Shutdown and Close the one
+// document holds both jobs' compute and build spans, each job's spans
+// inside its job span, which starts after the tracer did.
+func TestConfigTracerGetsFinishedJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the real pipeline")
+	}
+	var buf bytes.Buffer
+	tr := telemetry.NewTracer(&buf)
+	s := New(Config{QueueSize: 4, Workers: 2, QuickScale: true, Tracer: tr})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	c := NewClient(hs.URL)
+	ctx := context.Background()
+	var ids []string
+	for _, app := range []string{"acrobat", "maps"} {
+		st, err := c.Submit(ctx, SubmitRequest{Kind: KindProfile, App: app})
+		if err != nil {
+			t.Fatalf("submit %s: %v", app, err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		if st, err := c.Wait(ctx, id, time.Minute); err != nil || st.State != StateSucceeded {
+			t.Fatalf("job %s: %v %s %s", id, err, st.State, st.Error)
+		}
+	}
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	evs := chromeEvents(t, buf.Bytes())
+	for _, id := range ids {
+		spans := spansOf(evs, id)
+		job, ok := spans["job"]
+		if !ok || job.TS <= 0 {
+			t.Fatalf("job %s: root span %+v (present %v), want one starting after the tracer", id, job, ok)
+		}
+		if _, ok := spans["compute"]; !ok || len(buildIDs(spans)) == 0 {
+			t.Errorf("job %s: spans %v, want compute and build spans", id, spans)
+		}
+		for sid, e := range spans {
+			if e.TS < job.TS || e.TS+e.Dur > job.TS+job.Dur {
+				t.Errorf("job %s: span %s [%d, +%d] outside its job span [%d, +%d]", id, sid, e.TS, e.Dur, job.TS, job.Dur)
+			}
+		}
 	}
 }

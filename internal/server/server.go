@@ -50,9 +50,10 @@ type Config struct {
 	// New creates one when nil.
 	Registry *telemetry.Registry
 
-	// Tracer, when set, receives engine-level Chrome trace spans from every
-	// job (critics.WithTracer). The caller owns closing it — after Shutdown
-	// returns, so a SIGTERM drain flushes a complete JSON document.
+	// Tracer, when set, receives every executed job's trace spans once the
+	// job finishes, shifted into the tracer's time domain (obs.Trace.
+	// EmitChrome). The caller owns closing it — after Shutdown returns, so a
+	// SIGTERM drain flushes a complete JSON document.
 	Tracer *telemetry.Tracer
 
 	// Logger receives structured request/job logs; nil discards them.
@@ -353,11 +354,8 @@ func (s *Server) executePipeline(ctx context.Context, req SubmitRequest) ([]byte
 		critics.WithSharedCaches(s.caches),
 		critics.WithTelemetry(s.reg),
 	)
-	if s.cfg.Tracer != nil {
-		opts = append(opts, critics.WithTracer(s.cfg.Tracer))
-	}
 	if coord := s.cfg.Coordinator; coord != nil && coord.HealthyWorkers() > 0 {
-		opts = append(opts, critics.WithRemoteExecution(coord, coord))
+		opts = append(opts, critics.WithRemoteExecution(coord))
 	}
 
 	res := Result{Kind: req.Kind, App: req.App, Experiment: req.Experiment}

@@ -6,8 +6,9 @@
 // Design constraints, in order:
 //
 //  1. Disabled telemetry must be free. Every instrumented package takes a
-//     nil-able handle (cpu.Config.Metrics, sched.Pool metrics, the
-//     exp.Context tracer); the hot paths guard on nil and do nothing else.
+//     nil-able handle (cpu.Config.Metrics, sched.Pool metrics, the obs
+//     trace a run context carries); the hot paths guard on nil and do
+//     nothing else.
 //  2. Updates are lock-free. Counters, gauges and histogram buckets are
 //     atomics; the registry mutex is taken only at registration and scrape
 //     time, so a /metrics scrape never stalls simulation workers.

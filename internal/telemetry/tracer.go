@@ -10,9 +10,10 @@ import (
 )
 
 // EnginePID is the conventional Chrome-trace process id for engine-level
-// (wall-clock) tracks: experiment spans and memo-cache hit/miss spans.
-// Pipeline exports (cycle-domain timelines) use their own pids so the two
-// time domains never share an axis.
+// (wall-clock) tracks: the obs trace spans (experiment runs, shard maps,
+// memo builds, job stages) that obs.Trace.EmitChrome renders. Pipeline
+// exports (cycle-domain timelines) use their own pids so the two time
+// domains never share an axis.
 const EnginePID = 1
 
 // Arg is one key/value entry of a trace event's "args" object.

@@ -60,6 +60,8 @@ func (r *pairRemote) MeasureRemote(ctx context.Context, req exp.MeasureRequest) 
 	return exp.ExecuteMeasure(ctx, req, nil)
 }
 
+func (r *pairRemote) Width() int { return 0 }
+
 // counts returns the calls made, the most in flight at once, and how many
 // calls gave up waiting for a second one.
 func (r *pairRemote) counts() (calls, peak, stalled int) {
@@ -74,7 +76,7 @@ func (r *pairRemote) counts() (calls, peak, stalled int) {
 // The report is the same either way.
 func TestOptimizeDispatchesBothMeasurements(t *testing.T) {
 	both := newPairRemote(true)
-	rep, err := OptimizeApp("acrobat", WithQuickScale(), WithWorkers(2), WithRemoteExecution(both, nil))
+	rep, err := OptimizeApp("acrobat", WithQuickScale(), WithWorkers(2), WithRemoteExecution(both))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestOptimizeDispatchesBothMeasurements(t *testing.T) {
 	}
 
 	one := newPairRemote(false)
-	serial, err := OptimizeApp("acrobat", WithQuickScale(), WithWorkers(1), WithRemoteExecution(one, nil))
+	serial, err := OptimizeApp("acrobat", WithQuickScale(), WithWorkers(1), WithRemoteExecution(one))
 	if err != nil {
 		t.Fatal(err)
 	}

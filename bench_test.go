@@ -142,8 +142,8 @@ func BenchmarkPipelineSimulation(b *testing.B) {
 
 // BenchmarkSimNoRecords is the allocation guard for the no-records
 // simulation hot path: with a hoisted Sim and the window buffers warm in
-// the pool, a Run must not allocate per instruction (CI pins allocs/op —
-// see the bench-smoke step).
+// the pool, a Run must not allocate per instruction (TestAllocCeilings pins
+// allocs/op).
 func BenchmarkSimNoRecords(b *testing.B) {
 	app := acrobatProgram()
 	p := workload.Generate(app.Params)
@@ -177,7 +177,7 @@ func BenchmarkMeasureStreaming(b *testing.B) {
 
 // BenchmarkMeasureVariantHit is the allocation guard for the single-variant
 // memo-hit path, the path every measurement of a cached optimize job takes.
-// CI pins allocs/op (see the allocation-ceiling step).
+// TestAllocCeilings pins allocs/op.
 func BenchmarkMeasureVariantHit(b *testing.B) {
 	ctx := exp.QuickContext()
 	app := acrobatProgram()
@@ -199,8 +199,8 @@ var reportSink *Report
 // BenchmarkOptimizeWarm is a cached optimize job in process: OptimizeApp
 // with the daemon's options (quick scale, one SharedCaches, one telemetry
 // registry) over caches primed for every app, so each op is five memo hits
-// plus the per-job context set-up. CI pins its bytes/op (see the
-// allocation-ceiling step).
+// plus the per-job context set-up. TestAllocCeilings pins its bytes/op and
+// allocs/op.
 func BenchmarkOptimizeWarm(b *testing.B) {
 	opts := []Option{WithQuickScale(), WithSharedCaches(NewSharedCaches()), WithTelemetry(telemetry.NewRegistry())}
 	for _, name := range warmApps {
@@ -270,8 +270,9 @@ var profilerPlan = trace.SamplePlan{Samples: 4, Length: 10_000, Gap: 2_000, Warm
 var profileSink *core.Profile
 
 // BenchmarkProfiler times a whole profile build: sampling the windows plus
-// chain extraction, which streams each window chunk by chunk. CI pins its
-// bytes/op below what re-materializing the windows would add.
+// chain extraction, which streams each window chunk by chunk.
+// TestAllocCeilings pins its bytes/op below what re-materializing the
+// windows would add.
 func BenchmarkProfiler(b *testing.B) {
 	app := acrobatProgram()
 	p := workload.Generate(app.Params)

@@ -4,31 +4,41 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"critics/internal/server"
 )
 
-// cmdFleet implements "criticctl fleet <status|converge>".
-func cmdFleet(ctx context.Context, c *server.Client, args []string) {
+const fleetUsage = `usage: criticctl fleet <subcommand>
+
+subcommands:
+  status                  per-app consensus + converge state (GET /v1/fleet)
+  converge <app> [flags]  run the iterative optimizer against the app's
+                          fleet consensus and print the report
+                          (-quick, -workers N, -timeout d)
+`
+
+// fleet implements "criticctl fleet <status|converge>".
+func (x *cli) fleet(ctx context.Context, args []string) error {
 	if len(args) < 1 {
-		fleetUsage()
+		fmt.Fprint(x.stderr, fleetUsage)
+		return exitCode(2)
 	}
 	sub, rest := args[0], args[1:]
 	switch sub {
 	case "status":
-		fs := flag.NewFlagSet("fleet status", flag.ExitOnError)
-		_ = fs.Parse(rest)
-		apps, err := c.Fleet(ctx)
+		if err := x.parse(flag.NewFlagSet("fleet status", flag.ContinueOnError), rest); err != nil {
+			return err
+		}
+		apps, err := x.c.Fleet(ctx)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if len(apps) == 0 {
-			fmt.Println("no fleet state: no device sketches ingested yet")
-			return
+			fmt.Fprintln(x.stdout, "no fleet state: no device sketches ingested yet")
+			return nil
 		}
-		fmt.Printf("%-12s %8s %8s %8s %6s  %-16s %s\n",
+		fmt.Fprintf(x.stdout, "%-12s %8s %8s %8s %6s  %-16s %s\n",
 			"APP", "REV", "SKETCHES", "DEVICES", "KEYS", "CONSENSUS", "CONVERGE")
 		for _, a := range apps {
 			converge := "-"
@@ -40,11 +50,11 @@ func cmdFleet(ctx context.Context, c *server.Client, args []string) {
 				converge = fmt.Sprintf("%s %s (%d gen, %d chains, %s)",
 					state, a.Winner, a.Generations, a.SelectedChains, a.WinnerDigest)
 			}
-			fmt.Printf("%-12s %8d %8d %8.0f %6d  %-16s %s\n",
+			fmt.Fprintf(x.stdout, "%-12s %8d %8d %8.0f %6d  %-16s %s\n",
 				a.App, a.Revision, a.Sketches, a.Devices, a.Keys, a.Digest, converge)
 		}
 	case "converge":
-		fs := flag.NewFlagSet("fleet converge", flag.ExitOnError)
+		fs := flag.NewFlagSet("fleet converge", flag.ContinueOnError)
 		quick := fs.Bool("quick", false, "reduced-scale windows (faster, noisier)")
 		workers := fs.Int("workers", 0, "shard workers for the job (0 = server default)")
 		timeout := fs.Duration("timeout", 10*time.Minute, "give up waiting after this long")
@@ -53,48 +63,27 @@ func cmdFleet(ctx context.Context, c *server.Client, args []string) {
 			app = rest[0]
 			rest = rest[1:]
 		}
-		_ = fs.Parse(rest)
+		if err := x.parse(fs, rest); err != nil {
+			return err
+		}
 		if app == "" && fs.NArg() > 0 {
 			app = fs.Arg(0)
 		}
 		if app == "" {
-			fmt.Fprintln(os.Stderr, "criticctl: fleet converge requires an app name")
-			fleetUsage()
+			fmt.Fprint(x.stderr, "criticctl: fleet converge requires an app name\n"+fleetUsage)
+			return exitCode(2)
 		}
-		st, err := c.Submit(ctx, server.SubmitRequest{
+		st, err := x.c.Submit(ctx, server.SubmitRequest{
 			Kind: server.KindFleet, App: app, Quick: *quick, Workers: *workers,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("job %s submitted (%s %s)\n", st.ID, st.Kind, st.App)
-		st, err = c.Wait(ctx, st.ID, *timeout)
-		if err != nil {
-			fatal(err)
-		}
-		if st.State != server.StateSucceeded {
-			fmt.Fprintf(os.Stderr, "criticctl: job %s %s: %s\n", st.ID, st.State, st.Error)
-			os.Exit(1)
-		}
-		res, err := c.Result(ctx, st.ID)
-		if err != nil {
-			fatal(err)
-		}
-		printResultText(res)
+		fmt.Fprintf(x.stdout, "job %s submitted (%s %s)\n", st.ID, st.Kind, st.App)
+		return x.printResult(ctx, "job", st.ID, *timeout)
 	default:
-		fmt.Fprintf(os.Stderr, "criticctl: unknown fleet subcommand %q\n\n", sub)
-		fleetUsage()
+		fmt.Fprintf(x.stderr, "criticctl: unknown fleet subcommand %q\n\n%s", sub, fleetUsage)
+		return exitCode(2)
 	}
-}
-
-func fleetUsage() {
-	fmt.Fprintf(os.Stderr, `usage: criticctl fleet <subcommand>
-
-subcommands:
-  status                  per-app consensus + converge state (GET /v1/fleet)
-  converge <app> [flags]  run the iterative optimizer against the app's
-                          fleet consensus and print the report
-                          (-quick, -workers N, -timeout d)
-`)
-	os.Exit(2)
+	return nil
 }

@@ -26,19 +26,22 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"sort"
+	"syscall"
 	"time"
 
 	"critics/internal/server"
 )
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: criticctl [-addr URL] <command> [flags]
+const usage = `usage: criticctl [-addr URL] <command> [flags]
 
 commands:
   submit       submit a job (-app or -exp; -wait to block for the result)
@@ -59,125 +62,167 @@ commands:
   top          one-shot fleet snapshot: jobs, stage latencies, workers
   apps         list the workload catalog
   experiments  list runnable experiment ids
-`)
-	os.Exit(2)
-}
+`
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "criticctl:", err)
-	os.Exit(1)
-}
+// exitCode is an error whose message has already been printed: run exits
+// with its value and prints nothing more.
+type exitCode int
+
+func (e exitCode) Error() string { return fmt.Sprintf("exit status %d", int(e)) }
 
 func main() {
-	defaultAddr := os.Getenv("CRITICD_ADDR")
-	if defaultAddr == "" {
-		defaultAddr = "http://127.0.0.1:9720"
-	}
-	addr := flag.String("addr", defaultAddr, "criticd base URL (or $CRITICD_ADDR)")
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() < 1 {
-		usage()
-	}
-	c := server.NewClient(*addr)
-	ctx := context.Background()
-	cmd, args := flag.Arg(0), flag.Args()[1:]
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM) // os.Exit makes stop moot
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is criticctl given its arguments and output streams; cancelling ctx
+// abandons the command. It returns the exit code: 1 on failure, 2 on misuse.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("criticctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { fmt.Fprint(stderr, usage) }
+	addr := fs.String("addr", cmp.Or(os.Getenv("CRITICD_ADDR"), "http://127.0.0.1:9720"), "criticd base URL (or $CRITICD_ADDR)")
+	if fs.Parse(args) != nil {
+		return 2
+	}
+	if fs.NArg() < 1 {
+		fs.Usage()
+		return 2
+	}
+	x := &cli{c: server.NewClient(*addr), stdout: stdout, stderr: stderr}
+	err := x.command(ctx, fs.Arg(0), fs.Args()[1:])
+	if code, ok := err.(exitCode); ok {
+		return int(code)
+	} else if err != nil {
+		fmt.Fprintln(stderr, "criticctl:", err)
+		return 1
+	}
+	return 0
+}
+
+// cli is one criticctl invocation: the daemon client and the output streams.
+type cli struct {
+	c              *server.Client
+	stdout, stderr io.Writer
+}
+
+// parse parses a subcommand's flags, reporting a bad one to stderr: it
+// exits 2, and -h exits 0.
+func (x *cli) parse(fs *flag.FlagSet, args []string) error {
+	fs.SetOutput(x.stderr)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return exitCode(0)
+	} else if err != nil {
+		return exitCode(2)
+	}
+	return nil
+}
+
+func (x *cli) command(ctx context.Context, cmd string, args []string) error {
 	switch cmd {
 	case "submit":
-		cmdSubmit(ctx, c, args)
-	case "status":
-		id, fs := idArg("status", args)
-		_ = fs
-		st, err := c.Status(ctx, id)
+		return x.submit(ctx, args)
+	case "status", "cancel":
+		id, err := x.parseID(flag.NewFlagSet(cmd, flag.ContinueOnError), args)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		printStatus(st)
-	case "result":
-		fs := flag.NewFlagSet("result", flag.ExitOnError)
-		out := fs.String("o", "", "write the raw result JSON to this file instead of stdout")
-		id := parseID(fs, args)
-		res, err := c.Result(ctx, id)
+		get := x.c.Status
+		if cmd == "cancel" {
+			get = x.c.Cancel
+		}
+		st, err := get(ctx, id)
 		if err != nil {
-			fatal(err)
+			return err
+		}
+		x.printStatus(st)
+	case "result":
+		fs := flag.NewFlagSet("result", flag.ContinueOnError)
+		out := fs.String("o", "", "write the raw result JSON to this file instead of stdout")
+		id, err := x.parseID(fs, args)
+		if err != nil {
+			return err
+		}
+		res, err := x.c.Result(ctx, id)
+		if err != nil {
+			return err
 		}
 		if *out != "" {
 			if err := os.WriteFile(*out, res, 0o644); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("result written to %s (%d bytes)\n", *out, len(res))
-			return
+			fmt.Fprintf(x.stdout, "result written to %s (%d bytes)\n", *out, len(res))
+			return nil
 		}
-		printResultText(res)
+		x.printResultText(res)
 	case "wait":
-		fs := flag.NewFlagSet("wait", flag.ExitOnError)
+		fs := flag.NewFlagSet("wait", flag.ContinueOnError)
 		timeout := fs.Duration("timeout", 10*time.Minute, "give up after this long (0 = forever)")
-		id := parseID(fs, args)
-		st, err := c.Wait(ctx, id, *timeout)
+		id, err := x.parseID(fs, args)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		printStatus(st)
+		st, err := x.c.Wait(ctx, id, *timeout)
+		if err != nil {
+			return err
+		}
+		x.printStatus(st)
 		if st.State != server.StateSucceeded {
-			os.Exit(1)
+			return exitCode(1)
 		}
-	case "cancel":
-		id, _ := idArg("cancel", args)
-		st, err := c.Cancel(ctx, id)
-		if err != nil {
-			fatal(err)
-		}
-		printStatus(st)
 	case "bench":
-		cmdBench(ctx, c, args)
+		return x.bench(ctx, args)
 	case "workers":
-		cmdWorkers(ctx, c)
+		return x.workers(ctx)
 	case "trace":
-		fs := flag.NewFlagSet("trace", flag.ExitOnError)
+		fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 		chrome := fs.Bool("chrome", false, "Chrome trace-event export (Perfetto-loadable) instead of the span tree")
 		out := fs.String("o", "", "write to this file instead of stdout")
-		id := parseID(fs, args)
+		id, err := x.parseID(fs, args)
+		if err != nil {
+			return err
+		}
 		format := ""
 		if *chrome {
 			format = "chrome"
 		}
-		raw, err := c.Trace(ctx, id, format)
+		raw, err := x.c.Trace(ctx, id, format)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if *out != "" {
 			if err := os.WriteFile(*out, raw, 0o644); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("trace written to %s (%d bytes)\n", *out, len(raw))
-			return
+			fmt.Fprintf(x.stdout, "trace written to %s (%d bytes)\n", *out, len(raw))
+			return nil
 		}
-		os.Stdout.Write(raw)
+		x.stdout.Write(raw)
 	case "events":
-		fs := flag.NewFlagSet("events", flag.ExitOnError)
+		fs := flag.NewFlagSet("events", flag.ContinueOnError)
 		jobID := fs.String("job", "", "filter to one job's events")
-		_ = fs.Parse(args)
-		raw, err := c.Events(ctx, *jobID)
-		if err != nil {
-			fatal(err)
+		if err := x.parse(fs, args); err != nil {
+			return err
 		}
-		os.Stdout.Write(raw)
-		fmt.Println()
-	case "scan":
-		cmdScan(ctx, c, args)
-	case "artifacts":
-		cmdArtifacts(ctx, c, args)
-	case "fleet":
-		cmdFleet(ctx, c, args)
-	case "slo":
-		cmdSLO(ctx, c, args)
-	case "top":
-		cmdTop(ctx, c, args)
-	case "apps":
-		suites, err := c.Apps(ctx)
+		raw, err := x.c.Events(ctx, *jobID)
 		if err != nil {
-			fatal(err)
+			return err
+		}
+		fmt.Fprintf(x.stdout, "%s\n", raw)
+	case "scan":
+		return x.scan(ctx, args)
+	case "artifacts":
+		return x.artifacts(ctx, args)
+	case "fleet":
+		return x.fleet(ctx, args)
+	case "slo":
+		return x.slo(ctx, args)
+	case "top":
+		return x.top(ctx, args)
+	case "apps":
+		suites, err := x.c.Apps(ctx)
+		if err != nil {
+			return err
 		}
 		names := make([]string, 0, len(suites))
 		for s := range suites {
@@ -185,127 +230,134 @@ func main() {
 		}
 		sort.Strings(names)
 		for _, s := range names {
-			fmt.Printf("%s:\n", s)
+			fmt.Fprintf(x.stdout, "%s:\n", s)
 			for _, a := range suites[s] {
-				fmt.Printf("  %s\n", a)
+				fmt.Fprintf(x.stdout, "  %s\n", a)
 			}
 		}
 	case "experiments":
-		ids, err := c.Experiments(ctx)
+		ids, err := x.c.Experiments(ctx)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		for _, id := range ids {
-			fmt.Println(id)
+			fmt.Fprintln(x.stdout, id)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "criticctl: unknown command %q\n\n", cmd)
-		usage()
+		fmt.Fprintf(x.stderr, "criticctl: unknown command %q\n\n%s", cmd, usage)
+		return exitCode(2)
 	}
+	return nil
 }
 
-// idArg parses "<command> <id>" with no extra flags.
-func idArg(name string, args []string) (string, *flag.FlagSet) {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	return parseID(fs, args), fs
-}
-
-// parseID accepts the job id before or after the subcommand flags.
-func parseID(fs *flag.FlagSet, args []string) string {
+// parseID parses the subcommand's flags and returns the job id, which may
+// come before or after them.
+func (x *cli) parseID(fs *flag.FlagSet, args []string) (string, error) {
 	if len(args) > 0 && len(args[0]) > 0 && args[0][0] != '-' {
-		_ = fs.Parse(args[1:])
-		return args[0]
+		return args[0], x.parse(fs, args[1:])
 	}
-	_ = fs.Parse(args)
+	if err := x.parse(fs, args); err != nil {
+		return "", err
+	}
 	if fs.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "criticctl: missing job id")
-		os.Exit(2)
+		fmt.Fprintln(x.stderr, "criticctl: missing job id")
+		return "", exitCode(2)
 	}
-	return fs.Arg(0)
+	return fs.Arg(0), nil
 }
 
-func printStatus(st server.JobStatus) {
-	fmt.Printf("job %s  kind=%s", st.ID, st.Kind)
+func (x *cli) printStatus(st server.JobStatus) {
+	w := x.stdout
+	fmt.Fprintf(w, "job %s  kind=%s", st.ID, st.Kind)
 	if st.App != "" {
-		fmt.Printf(" app=%s", st.App)
+		fmt.Fprintf(w, " app=%s", st.App)
 	}
 	if st.Experiment != "" {
-		fmt.Printf(" exp=%s", st.Experiment)
+		fmt.Fprintf(w, " exp=%s", st.Experiment)
 	}
-	fmt.Printf("  state=%s", st.State)
+	fmt.Fprintf(w, "  state=%s", st.State)
 	if d := st.Duration(); d > 0 {
-		fmt.Printf("  elapsed=%.2fs", d.Seconds())
+		fmt.Fprintf(w, "  elapsed=%.2fs", d.Seconds())
 	}
 	if st.Error != "" {
-		fmt.Printf("  error=%q retryable=%v", st.Error, st.Retryable)
+		fmt.Fprintf(w, "  error=%q retryable=%v", st.Error, st.Retryable)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+}
+
+// printResult waits for job id to finish and prints its result text. A
+// job that did not succeed is an error naming it what.
+func (x *cli) printResult(ctx context.Context, what, id string, timeout time.Duration) error {
+	st, err := x.c.Wait(ctx, id, timeout)
+	if err != nil {
+		return err
+	}
+	if st.State != server.StateSucceeded {
+		return fmt.Errorf("%s %s %s: %s", what, st.ID, st.State, st.Error)
+	}
+	res, err := x.c.Result(ctx, st.ID)
+	if err != nil {
+		return err
+	}
+	x.printResultText(res)
+	return nil
 }
 
 // printResultText prints the result's human-readable text (the full JSON
 // document is available with result -o).
-func printResultText(res []byte) {
+func (x *cli) printResultText(res []byte) {
 	var doc server.Result
 	if err := json.Unmarshal(res, &doc); err != nil || doc.Text == "" {
-		os.Stdout.Write(res)
-		fmt.Println()
+		fmt.Fprintf(x.stdout, "%s\n", res)
 		return
 	}
-	fmt.Print(doc.Text)
+	fmt.Fprint(x.stdout, doc.Text)
 }
 
-func cmdSubmit(ctx context.Context, c *server.Client, args []string) {
-	fs := flag.NewFlagSet("submit", flag.ExitOnError)
-	var (
-		app     = fs.String("app", "", "app to optimize/profile/trace")
-		expID   = fs.String("exp", "", "experiment id to run")
-		kind    = fs.String("kind", "", "job kind: optimize (default with -app), profile, experiment (default with -exp), trace")
-		quick   = fs.Bool("quick", false, "reduced-scale windows")
-		workers = fs.Int("workers", 0, "per-job shard pool bound (0 = daemon default)")
-		measure = fs.Int("measure-instrs", 0, "measured window override, architectural instructions")
-		timeout = fs.Duration("timeout", 0, "per-job deadline (0 = daemon default)")
-		idemKey = fs.String("idempotency-key", "", "safe-retry key: resubmits return the existing job")
-		wait    = fs.Bool("wait", false, "block until the job finishes and print its result")
-		waitFor = fs.Duration("wait-timeout", 10*time.Minute, "give up waiting after this long (with -wait)")
-	)
-	_ = fs.Parse(args)
-	req := server.SubmitRequest{
-		Kind:           server.JobKind(*kind),
-		App:            *app,
-		Experiment:     *expID,
-		Quick:          *quick,
-		Workers:        *workers,
-		MeasureInstrs:  *measure,
-		TimeoutMS:      timeout.Milliseconds(),
-		IdempotencyKey: *idemKey,
+func (x *cli) submit(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
+	var req server.SubmitRequest
+	fs.StringVar(&req.App, "app", "", "app to optimize/profile/trace")
+	fs.StringVar(&req.Experiment, "exp", "", "experiment id to run")
+	fs.StringVar((*string)(&req.Kind), "kind", "", "job kind: optimize (default with -app), profile, experiment (default with -exp), trace")
+	fs.BoolVar(&req.Quick, "quick", false, "reduced-scale windows")
+	fs.IntVar(&req.Workers, "workers", 0, "per-job shard pool bound (0 = daemon default)")
+	fs.IntVar(&req.MeasureInstrs, "measure-instrs", 0, "measured window override, architectural instructions")
+	timeout := fs.Duration("timeout", 0, "per-job deadline (0 = daemon default)")
+	fs.StringVar(&req.IdempotencyKey, "idempotency-key", "", "safe-retry key: resubmits return the existing job")
+	wait := fs.Bool("wait", false, "block until the job finishes and print its result")
+	waitFor := fs.Duration("wait-timeout", 10*time.Minute, "give up waiting after this long (with -wait)")
+	if err := x.parse(fs, args); err != nil {
+		return err
 	}
-	st, err := c.Submit(ctx, req)
+	req.TimeoutMS = timeout.Milliseconds()
+	st, err := x.c.Submit(ctx, req)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	printStatus(st)
+	x.printStatus(st)
 	if !*wait {
-		return
+		return nil
 	}
-	st, err = c.Wait(ctx, st.ID, *waitFor)
-	if err != nil {
-		fatal(err)
+	if st, err = x.c.Wait(ctx, st.ID, *waitFor); err != nil {
+		return err
 	}
 	if st.State != server.StateSucceeded {
-		printStatus(st)
-		os.Exit(1)
+		x.printStatus(st)
+		return exitCode(1)
 	}
-	res, err := c.Result(ctx, st.ID)
+	res, err := x.c.Result(ctx, st.ID)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	printResultText(res)
+	x.printResultText(res)
+	return nil
 }
 
-// cmdBench parses flags, delegates to runBench (bench.go) and prints the
+// bench parses flags, delegates to runBench (bench.go) and prints the
 // report.
-func cmdBench(ctx context.Context, c *server.Client, args []string) {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+func (x *cli) bench(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	var (
 		n       = fs.Int("n", 16, "total jobs")
 		conc    = fs.Int("c", 4, "concurrent submitters")
@@ -313,31 +365,35 @@ func cmdBench(ctx context.Context, c *server.Client, args []string) {
 		quick   = fs.Bool("quick", true, "reduced-scale windows")
 		timeout = fs.Duration("timeout", 10*time.Minute, "overall deadline")
 	)
-	_ = fs.Parse(args)
-	opts := benchOptions{N: *n, Conc: *conc, App: *app, Quick: *quick, Timeout: *timeout}
-	res := runBench(ctx, c, opts, os.Stderr)
-	fmt.Print(formatBench(opts, res))
-	if res.OK != opts.N {
-		os.Exit(1)
+	if err := x.parse(fs, args); err != nil {
+		return err
 	}
+	opts := benchOptions{N: *n, Conc: *conc, App: *app, Quick: *quick, Timeout: *timeout}
+	res := runBench(ctx, x.c, opts, x.stderr)
+	fmt.Fprint(x.stdout, formatBench(opts, res))
+	if res.OK != opts.N {
+		return exitCode(1)
+	}
+	return nil
 }
 
-// cmdWorkers prints the coordinator's fleet status.
-func cmdWorkers(ctx context.Context, c *server.Client) {
-	ws, err := c.DistWorkers(ctx)
+// workers prints the coordinator's fleet status.
+func (x *cli) workers(ctx context.Context) error {
+	ws, err := x.c.DistWorkers(ctx)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(ws) == 0 {
-		fmt.Println("no workers registered")
-		return
+		fmt.Fprintln(x.stdout, "no workers registered")
+		return nil
 	}
 	for _, w := range ws {
 		health := "healthy"
 		if !w.Healthy {
 			health = "UNHEALTHY"
 		}
-		fmt.Printf("%s  %s  capacity=%d inflight=%d done=%d failures=%d\n",
+		fmt.Fprintf(x.stdout, "%s  %s  capacity=%d inflight=%d done=%d failures=%d\n",
 			w.URL, health, w.Capacity, w.Inflight, w.TasksDone, w.Failures)
 	}
+	return nil
 }

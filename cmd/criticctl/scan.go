@@ -23,12 +23,12 @@ const scanChunkSize = 1024
 // cmdScan runs a source-free scan: score missed CritIC opportunities in a
 // binary image against a dynamic trace, without the source program. Inputs
 // are either real files (-image/-trace, the production path) or assembled
-// from a catalog app (-app/-instrs, the self-contained demo and smoke path).
+// from a catalog app (-app/-instrs, the self-contained demo and test path).
 // The default dispatches through the daemon — artifacts are chunk-uploaded
 // by digest and the scan may fan out across a dist fleet; -local computes
 // in-process, producing the identical report.
-func cmdScan(ctx context.Context, c *server.Client, args []string) {
-	fs := flag.NewFlagSet("scan", flag.ExitOnError)
+func (x *cli) scan(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("scan", flag.ContinueOnError)
 	var (
 		app        = fs.String("app", "", "assemble this catalog app's binary image + trace as the scan inputs")
 		instrs     = fs.Int("instrs", 30000, "trace length to generate with -app, dynamic instructions")
@@ -38,55 +38,46 @@ func cmdScan(ctx context.Context, c *server.Client, args []string) {
 		chunkBytes = fs.Int("chunk-bytes", 0, "upload chunk size in bytes (0 = server max); small values exercise resumable chunking")
 		timeout    = fs.Duration("timeout", 5*time.Minute, "give up waiting for the job after this long")
 	)
-	_ = fs.Parse(args)
+	if err := x.parse(fs, args); err != nil {
+		return err
+	}
 
 	img, trc, err := scanInputs(*app, *imageFile, *traceFile, *instrs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *local {
 		rep, err := scan.Run(img, bytes.NewReader(trc),
 			artifact.Sum(img), artifact.Sum(trc), scan.Options{})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(rep.Text())
-		return
+		fmt.Fprint(x.stdout, rep.Text())
+		return nil
 	}
 
-	imgDigest, err := c.UploadArtifact(ctx, img, *chunkBytes)
+	imgDigest, err := x.c.UploadArtifact(ctx, img, *chunkBytes)
 	if err != nil {
-		fatal(fmt.Errorf("uploading image: %w", err))
+		return fmt.Errorf("uploading image: %w", err)
 	}
-	trcDigest, err := c.UploadArtifact(ctx, trc, *chunkBytes)
+	trcDigest, err := x.c.UploadArtifact(ctx, trc, *chunkBytes)
 	if err != nil {
-		fatal(fmt.Errorf("uploading trace: %w", err))
+		return fmt.Errorf("uploading trace: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "uploaded image %s (%d bytes), trace %s (%d bytes)\n",
+	fmt.Fprintf(x.stderr, "uploaded image %s (%d bytes), trace %s (%d bytes)\n",
 		imgDigest, len(img), trcDigest, len(trc))
 
-	st, err := c.Submit(ctx, server.SubmitRequest{
+	st, err := x.c.Submit(ctx, server.SubmitRequest{
 		Kind:        server.KindScan,
 		ImageDigest: imgDigest,
 		TraceDigest: trcDigest,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "scan job %s submitted\n", st.ID)
-	st, err = c.Wait(ctx, st.ID, *timeout)
-	if err != nil {
-		fatal(err)
-	}
-	if st.State != server.StateSucceeded {
-		fatal(fmt.Errorf("scan job %s %s: %s", st.ID, st.State, st.Error))
-	}
-	res, err := c.Result(ctx, st.ID)
-	if err != nil {
-		fatal(err)
-	}
-	printResultText(res)
+	fmt.Fprintf(x.stderr, "scan job %s submitted\n", st.ID)
+	return x.printResult(ctx, "scan job", st.ID, *timeout)
 }
 
 // scanInputs resolves the image and trace bytes from the flag combination.
@@ -114,39 +105,40 @@ func scanInputs(app, imageFile, traceFile string, instrs int) (img, trc []byte, 
 	}
 }
 
-// cmdArtifacts is the store-management surface: list, stat <digest>, gc.
-func cmdArtifacts(ctx context.Context, c *server.Client, args []string) {
+// artifacts is the store-management surface: list, stat <digest>, gc.
+func (x *cli) artifacts(ctx context.Context, args []string) error {
 	if len(args) < 1 {
-		fatal(fmt.Errorf("usage: criticctl artifacts <list|stat <digest>|gc>"))
+		return fmt.Errorf("usage: criticctl artifacts <list|stat <digest>|gc>")
 	}
 	switch sub, rest := args[0], args[1:]; sub {
 	case "list":
-		infos, err := c.ArtifactList(ctx)
+		infos, err := x.c.ArtifactList(ctx)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		writeArtifactList(os.Stdout, infos)
+		writeArtifactList(x.stdout, infos)
 	case "stat":
 		if len(rest) < 1 {
-			fatal(fmt.Errorf("usage: criticctl artifacts stat <digest>"))
+			return fmt.Errorf("usage: criticctl artifacts stat <digest>")
 		}
-		info, err := c.ArtifactStat(ctx, rest[0])
+		info, err := x.c.ArtifactStat(ctx, rest[0])
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("%s  %d bytes  tier=%s  refs=%d\n", info.Digest, info.Size, info.Tier, info.Refs)
+		fmt.Fprintf(x.stdout, "%s  %d bytes  tier=%s  refs=%d\n", info.Digest, info.Size, info.Tier, info.Refs)
 	case "gc":
-		res, err := c.ArtifactGC(ctx)
+		res, err := x.c.ArtifactGC(ctx)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("gc removed %d artifacts, freed %d bytes\n", res.Removed, res.Freed)
+		fmt.Fprintf(x.stdout, "gc removed %d artifacts, freed %d bytes\n", res.Removed, res.Freed)
 	default:
-		fatal(fmt.Errorf("unknown artifacts subcommand %q (list, stat, gc)", sub))
+		return fmt.Errorf("unknown artifacts subcommand %q (list, stat, gc)", sub)
 	}
+	return nil
 }
 
-// writeArtifactList renders the store listing; split from cmdArtifacts so
+// writeArtifactList renders the store listing; split from artifacts so
 // tests can capture it.
 func writeArtifactList(w io.Writer, infos []artifact.Info) {
 	if len(infos) == 0 {

@@ -47,6 +47,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -63,77 +64,98 @@ import (
 )
 
 func main() {
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM) // os.Exit makes stop moot
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is criticd given its arguments and output streams: it serves until
+// ctx is cancelled (SIGINT/SIGTERM in main), drains, and returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("criticd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg server.Config
+	fs.IntVar(&cfg.QueueSize, "queue", 64, "bounded job queue size (full queue refuses with 429)")
+	fs.IntVar(&cfg.Workers, "jobs", 2, "jobs executing concurrently")
+	fs.IntVar(&cfg.JobWorkers, "job-workers", 0, "daemon mode: per-job shard pool bound (0 = GOMAXPROCS)")
+	fs.DurationVar(&cfg.JobTimeout, "job-timeout", 10*time.Minute, "default per-job deadline (requests may set their own)")
+	fs.IntVar(&cfg.ProfileQueue, "profile-queue", 256, "bounded fleet profile-sketch ingest queue (full queue refuses POST /v1/profiles with 429)")
+	fs.BoolVar(&cfg.QuickScale, "quick", false, "force reduced-scale windows for every job")
 	var (
-		addr         = flag.String("addr", ":9720", "listen address (host:port; port 0 picks one)")
-		queueSize    = flag.Int("queue", 64, "bounded job queue size (full queue refuses with 429)")
-		jobs         = flag.Int("jobs", 2, "jobs executing concurrently")
-		jobWorkers   = flag.Int("job-workers", 0, "daemon mode: per-job shard pool bound (0 = GOMAXPROCS)")
-		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "default per-job deadline (requests may set their own)")
-		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "grace for in-flight jobs at shutdown")
-		profileQueue = flag.Int("profile-queue", 256, "bounded fleet profile-sketch ingest queue (full queue refuses POST /v1/profiles with 429)")
-		quick        = flag.Bool("quick", false, "force reduced-scale windows for every job")
-		artifactDir  = flag.String("artifact-dir", "", "directory backing the content-addressed artifact store (persists across restarts; empty = temp dir removed at exit). Worker mode: the local warm cache for scan artifacts")
-		traceOut     = flag.String("trace-out", "", "write every finished job's trace spans here as Chrome trace-event JSON, flushed complete on graceful drain")
-		verbose      = flag.Bool("v", false, "structured request/job log on stderr")
+		addr         = fs.String("addr", ":9720", "listen address (host:port; port 0 picks one)")
+		drainTimeout = fs.Duration("drain-timeout", 2*time.Minute, "grace for in-flight jobs at shutdown")
+		artifactDir  = fs.String("artifact-dir", "", "directory backing the content-addressed artifact store (persists across restarts; empty = temp dir removed at exit). Worker mode: the local warm cache for scan artifacts")
+		traceOut     = fs.String("trace-out", "", "write every finished job's trace spans here as Chrome trace-event JSON, flushed complete on graceful drain")
+		verbose      = fs.Bool("v", false, "structured request/job log on stderr")
 
-		worker      = flag.Bool("worker", false, "run as a task-execution worker instead of a job daemon")
-		coordinator = flag.String("coordinator", "", "worker mode: coordinator base URL to register with")
-		advertise   = flag.String("advertise", "", "worker mode: base URL the coordinator should dial back (default http://<resolved addr>)")
-		capacity    = flag.Int("capacity", 2, "worker mode: tasks executed concurrently")
-		failFirst   = flag.Int("fail-first-tasks", 0, "worker mode: answer the first N tasks with an injected 500 (chaos hook for retry smoke tests)")
+		worker      = fs.Bool("worker", false, "run as a task-execution worker instead of a job daemon")
+		coordinator = fs.String("coordinator", "", "worker mode: coordinator base URL to register with")
+		advertise   = fs.String("advertise", "", "worker mode: base URL the coordinator should dial back (default http://<resolved addr>)")
+		capacity    = fs.Int("capacity", 2, "worker mode: tasks executed concurrently")
 
-		distMode    = flag.Bool("dist", false, "enable distributed execution (this daemon coordinates a worker fleet)")
-		distWorkers = flag.String("dist-workers", "", "comma-separated worker base URLs to register up-front (implies -dist)")
+		distMode    = fs.Bool("dist", false, "enable distributed execution (this daemon coordinates a worker fleet)")
+		distWorkers = fs.String("dist-workers", "", "comma-separated worker base URLs to register up-front (implies -dist)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "criticd:", err)
+		return 1
+	}
 
 	level := slog.LevelWarn
 	if *verbose {
 		level = slog.LevelInfo
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	logger := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
 
+	component := "criticd"
 	if *worker {
-		runWorker(logger, *addr, *coordinator, *advertise, *artifactDir, *capacity, *failFirst, *drainTimeout)
-		return
+		component = "criticd-worker"
 	}
-
 	reg := telemetry.NewRegistry()
-	telemetry.RegisterBuildInfo(reg, "criticd")
-
+	telemetry.RegisterBuildInfo(reg, component)
 	// -artifact-dir persists the store across restarts (Open re-adopts the
-	// blobs on disk); without it the server creates a temp store it removes
-	// at shutdown.
+	// blobs on disk). Without it the daemon's server creates a temp store it
+	// removes at shutdown, and a worker one for its scan inputs; a worker
+	// re-opened on a shared -artifact-dir starts warm.
 	var store *artifact.Store
 	if *artifactDir != "" {
 		var err error
-		store, err = artifact.Open(artifact.Config{Dir: *artifactDir, Registry: reg})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "criticd:", err)
-			os.Exit(1)
+		if store, err = artifact.Open(artifact.Config{Dir: *artifactDir, Registry: reg}); err != nil {
+			return fail(err)
 		}
+	}
+
+	if *worker {
+		if err := runWorker(ctx, stdout, logger, reg, store, *addr, *coordinator, *advertise, *capacity, *drainTimeout); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
 	// The tracer collects each finished job's spans for the daemon's whole
 	// lifetime; closeTrace terminates the JSON document. It runs after
-	// Shutdown on every exit path, so a SIGTERM drain never leaves a
-	// truncated trace behind.
+	// Shutdown on every drain, so a SIGTERM never leaves a truncated trace
+	// behind.
 	closeTrace := func() {}
 	var tracer *telemetry.Tracer
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "criticd:", err)
-			os.Exit(1)
+			return fail(err)
 		}
+		defer f.Close() // on the error returns; the drain closes it through closeTrace
 		tracer = telemetry.NewTracer(f)
 		tracer.MetaProcessName(telemetry.EnginePID, "criticd jobs (wall-clock µs)")
 		closeTrace = func() {
 			if err := tracer.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "criticd: closing trace:", err)
+				fmt.Fprintln(stderr, "criticd: closing trace:", err)
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "criticd: closing trace file:", err)
+				fmt.Fprintln(stderr, "criticd: closing trace file:", err)
 			}
 			logger.Info("trace written", "path", *traceOut)
 		}
@@ -142,163 +164,122 @@ func main() {
 	var coord *dist.Coordinator
 	if *distMode || *distWorkers != "" {
 		coord = dist.NewCoordinator(dist.Config{Registry: reg, Logger: logger})
+		defer coord.Close()
 		for _, u := range strings.Split(*distWorkers, ",") {
 			if u = strings.TrimSpace(u); u != "" {
 				coord.AddWorkerCapacity(strings.TrimRight(u, "/"), *capacity)
 			}
 		}
 	}
-	srv := server.New(server.Config{
-		QueueSize:    *queueSize,
-		ProfileQueue: *profileQueue,
-		Workers:      *jobs,
-		JobWorkers:   *jobWorkers,
-		JobTimeout:   *jobTimeout,
-		QuickScale:   *quick,
-		Registry:     reg,
-		Tracer:       tracer,
-		Logger:       logger,
-		Coordinator:  coord,
-		Artifacts:    store,
-	})
+	cfg.Registry, cfg.Tracer, cfg.Logger, cfg.Coordinator, cfg.Artifacts = reg, tracer, logger, coord, store
+	srv := server.New(cfg)
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "criticd:", err)
-		os.Exit(1)
+	up := func(a net.Addr) error {
+		logger.Info("serving", "addr", a.String(), "queue", cfg.QueueSize, "jobs", cfg.Workers, "dist", coord != nil)
+		return nil
 	}
-	hs := &http.Server{Handler: srv.Handler()}
-
-	// The one line scripts parse: the resolved address, including an
-	// ephemeral port when -addr ended in :0.
-	fmt.Printf("criticd listening on http://%s\n", ln.Addr())
-	logger.Info("serving", "addr", ln.Addr().String(), "queue", *queueSize, "jobs", *jobs,
-		"dist", coord != nil)
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-stop:
-		logger.Info("draining", "signal", sig.String(), "grace", drainTimeout.String())
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "criticd:", err)
-		os.Exit(1)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
 	// Drain order: refuse new work and finish jobs first (the coordinator
-	// drains alongside so remote units complete), then close the HTTP
-	// listener so late status polls still get answers while jobs run.
-	if coord != nil {
-		defer coord.Close()
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "criticd: drain incomplete:", err)
-		closeTrace() // in-flight jobs were cancelled; keep what was traced
-		_ = hs.Shutdown(context.Background())
-		os.Exit(1)
-	}
-	closeTrace()
-	if coord != nil {
-		if err := coord.Drain(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "criticd:", err)
+	// drains alongside so remote units complete); serve closes the listener
+	// afterwards.
+	drain := func(ctx context.Context) error {
+		err := srv.Shutdown(ctx)
+		closeTrace() // after a failed drain, keeps what was traced
+		if err != nil {
+			return fmt.Errorf("drain incomplete: %w", err)
 		}
+		if coord != nil {
+			if err := coord.Drain(ctx); err != nil {
+				fmt.Fprintln(stderr, "criticd:", err)
+			}
+		}
+		return nil
 	}
-	if err := hs.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "criticd:", err)
-		os.Exit(1)
+	if err := serve(ctx, stdout, logger, *addr, *drainTimeout, srv.Handler(), up, drain); err != nil {
+		return fail(err)
 	}
 	logger.Info("drained cleanly")
+	return 0
 }
 
 // runWorker is criticd -worker: serve the dist task API, optionally announce
-// to a coordinator, and on SIGINT/SIGTERM deregister, finish in-flight tasks
-// and exit.
-func runWorker(logger *slog.Logger, addr, coordURL, advertise, artifactDir string, capacity, failFirst int, drainTimeout time.Duration) {
-	reg := telemetry.NewRegistry()
-	telemetry.RegisterBuildInfo(reg, "criticd-worker")
+// to a coordinator, and once ctx is cancelled deregister, finish in-flight
+// tasks and return.
+func runWorker(ctx context.Context, stdout io.Writer, logger *slog.Logger, reg *telemetry.Registry,
+	store *artifact.Store, addr, coordURL, advertise string, capacity int, drainTimeout time.Duration) error {
 	coordURL = strings.TrimRight(coordURL, "/")
-	// The worker's artifact store is its warm cache for scan inputs; a
-	// -artifact-dir shared across restarts makes a recycled worker start
-	// warm. Missing artifacts are fetched from the coordinator by digest.
-	var store *artifact.Store
-	if artifactDir != "" {
-		var err error
-		store, err = artifact.Open(artifact.Config{Dir: artifactDir, Registry: reg})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "criticd:", err)
-			os.Exit(1)
-		}
-	}
-	wk := dist.NewWorker(dist.WorkerConfig{
-		Capacity:       capacity,
-		Registry:       reg,
-		Logger:         logger,
-		FailFirstTasks: failFirst,
-		Artifacts:      store,
-		ArtifactSource: coordURL,
-	})
-
+	// Missing scan artifacts are fetched from the coordinator by digest.
+	wk := dist.NewWorker(dist.WorkerConfig{Capacity: capacity, Registry: reg, Logger: logger,
+		Artifacts: store, ArtifactSource: coordURL})
 	mux := http.NewServeMux()
 	mux.Handle("/", wk.Handler())
 	mux.Handle("GET /metrics", reg)
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "criticd:", err)
-		os.Exit(1)
-	}
-	hs := &http.Server{Handler: mux}
-
-	// Same parse line as daemon mode, so the launch scripts are shared.
-	fmt.Printf("criticd listening on http://%s\n", ln.Addr())
-	if advertise == "" {
-		advertise = "http://" + ln.Addr().String()
-	}
-	advertise = strings.TrimRight(advertise, "/")
-	logger.Info("worker serving", "addr", ln.Addr().String(), "capacity", capacity, "advertise", advertise)
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	if coordURL != "" {
-		regCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	up := func(a net.Addr) error {
+		if advertise == "" {
+			advertise = "http://" + a.String()
+		}
+		advertise = strings.TrimRight(advertise, "/")
+		logger.Info("worker serving", "addr", a.String(), "capacity", capacity, "advertise", advertise)
+		if coordURL == "" {
+			return nil
+		}
+		regCtx, cancel := context.WithTimeout(ctx, time.Minute)
+		defer cancel()
 		if err := dist.Register(regCtx, nil, coordURL, advertise, capacity); err != nil {
-			cancel()
-			fmt.Fprintln(os.Stderr, "criticd:", err)
-			os.Exit(1)
+			return err
 		}
-		cancel()
 		logger.Info("registered with coordinator", "coordinator", coordURL)
+		return nil
 	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-stop:
-		logger.Info("draining", "signal", sig.String(), "grace", drainTimeout.String())
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "criticd:", err)
-		os.Exit(1)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	// Drain order: leave the fleet so no new tasks are routed here, finish
-	// in-flight tasks, then close the listener.
-	if coordURL != "" {
-		if err := dist.Deregister(ctx, nil, coordURL, advertise); err != nil {
-			logger.Warn("deregister failed", "err", err)
+	// Drain order: leave the fleet so no new tasks are routed here, then
+	// finish in-flight tasks; serve closes the listener afterwards.
+	drain := func(ctx context.Context) error {
+		if coordURL != "" {
+			if err := dist.Deregister(ctx, nil, coordURL, advertise); err != nil {
+				logger.Warn("deregister failed", "err", err)
+			}
 		}
+		wk.Drain()
+		return nil
 	}
-	wk.Drain()
-	if err := hs.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "criticd:", err)
-		os.Exit(1)
+	if err := serve(ctx, stdout, logger, addr, drainTimeout, mux, up, drain); err != nil {
+		return err
 	}
 	logger.Info("worker drained cleanly")
+	return nil
+}
+
+// serve is the listen/serve/drain cycle of both modes. It listens on addr,
+// prints the one stdout line scripts parse (the resolved address, including
+// an ephemeral port when addr ends in :0), calls up, and serves h until ctx
+// is cancelled. Then drain runs under the grace deadline while the listener
+// still answers late status polls, and the listener closes last.
+func serve(ctx context.Context, stdout io.Writer, logger *slog.Logger, addr string, grace time.Duration,
+	h http.Handler, up func(net.Addr) error, drain func(context.Context) error) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	hs := &http.Server{Handler: h}
+	fmt.Fprintf(stdout, "criticd listening on http://%s\n", ln.Addr())
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	if err := up(ln.Addr()); err != nil {
+		_ = hs.Close()
+		return err
+	}
+	select {
+	case <-ctx.Done():
+		logger.Info("draining", "grace", grace.String())
+	case err := <-errc:
+		return err
+	}
+
+	dctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if err := drain(dctx); err != nil {
+		_ = hs.Shutdown(context.Background())
+		return err
+	}
+	return hs.Shutdown(dctx)
 }

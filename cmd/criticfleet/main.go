@@ -18,15 +18,20 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"os/signal"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"critics/internal/fleet"
@@ -35,38 +40,46 @@ import (
 	"critics/internal/workload"
 )
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "criticfleet:", err)
-	os.Exit(1)
+func main() {
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM) // os.Exit makes stop moot
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	defaultAddr := os.Getenv("CRITICD_ADDR")
-	if defaultAddr == "" {
-		defaultAddr = "http://127.0.0.1:9720"
-	}
+// run is criticfleet given its arguments and output streams; cancelling ctx
+// abandons the run. It returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("criticfleet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", defaultAddr, "criticd base URL (or $CRITICD_ADDR)")
-		devices  = flag.Int("devices", 8, "simulated devices")
-		appsFlag = flag.String("apps", "acrobat", "comma-separated app names the fleet runs")
-		rounds   = flag.Int("rounds", 2, "upload rounds; each round extends every device's cumulative sketch")
-		drop     = flag.Float64("drop", 0, "probability a device drops an upload (chaos; re-sent next round)")
-		jitter   = flag.Duration("jitter", 0, "max random delay before each upload (chaos)")
-		seed     = flag.Int64("seed", 1, "fleet RNG seed (drop/jitter/shuffle decisions)")
-		shuffle  = flag.Bool("shuffle", false, "permute device launch order per round (arrival-order chaos)")
-		converge = flag.Bool("converge", false, "submit a fleet converge job per app after the rounds and print the reports")
-		quick    = flag.Bool("quick", false, "reduced-scale windows for -converge jobs")
-		timeout  = flag.Duration("timeout", 10*time.Minute, "overall deadline")
-		verbose  = flag.Bool("v", false, "per-upload log on stderr")
-		version  = flag.Bool("version", false, "print the build version and exit")
+		addr     = fs.String("addr", cmp.Or(os.Getenv("CRITICD_ADDR"), "http://127.0.0.1:9720"), "criticd base URL (or $CRITICD_ADDR)")
+		devices  = fs.Int("devices", 8, "simulated devices")
+		appsFlag = fs.String("apps", "acrobat", "comma-separated app names the fleet runs")
+		rounds   = fs.Int("rounds", 2, "upload rounds; each round extends every device's cumulative sketch")
+		drop     = fs.Float64("drop", 0, "probability a device drops an upload (chaos; re-sent next round)")
+		jitter   = fs.Duration("jitter", 0, "max random delay before each upload (chaos)")
+		seed     = fs.Int64("seed", 1, "fleet RNG seed (drop/jitter/shuffle decisions)")
+		shuffle  = fs.Bool("shuffle", false, "permute device launch order per round (arrival-order chaos)")
+		converge = fs.Bool("converge", false, "submit a fleet converge job per app after the rounds and print the reports")
+		quick    = fs.Bool("quick", false, "reduced-scale windows for -converge jobs")
+		timeout  = fs.Duration("timeout", 10*time.Minute, "overall deadline")
+		verbose  = fs.Bool("v", false, "per-upload log on stderr")
+		version  = fs.Bool("version", false, "print the build version and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "criticfleet:", err)
+		return 1
+	}
 	if *version {
-		fmt.Println(telemetry.PrintVersion("criticfleet"))
-		return
+		fmt.Fprintln(stdout, telemetry.PrintVersion("criticfleet"))
+		return 0
 	}
 	if *devices <= 0 || *rounds <= 0 {
-		fatal(fmt.Errorf("-devices and -rounds must be positive"))
+		return fail(fmt.Errorf("-devices and -rounds must be positive"))
 	}
 
 	var apps []workload.App
@@ -77,27 +90,26 @@ func main() {
 		}
 		a, ok := workload.FindApp(name)
 		if !ok {
-			fatal(fmt.Errorf("unknown app %q", name))
+			return fail(fmt.Errorf("unknown app %q", name))
 		}
 		apps = append(apps, a)
 	}
 	if len(apps) == 0 {
-		fatal(fmt.Errorf("no apps (-apps)"))
+		return fail(fmt.Errorf("no apps (-apps)"))
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	ctx, cancel := context.WithTimeout(ctx, *timeout)
 	defer cancel()
 	c := server.NewClient(*addr)
 
 	var (
-		mu       sync.Mutex
-		sent     int
-		dropped  int
-		rejected int
+		sent, dropped, rejected atomic.Int64
+		failOnce                sync.Once
+		failed                  error // the first upload that failed for good; ends the run
 	)
 	logf := func(format string, args ...any) {
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "criticfleet: "+format+"\n", args...)
+			fmt.Fprintf(stderr, "criticfleet: "+format+"\n", args...)
 		}
 	}
 
@@ -123,9 +135,7 @@ func main() {
 				rng := rand.New(rand.NewSource(*seed*1_000_003 + int64(idx)*31 + int64(round)))
 				for _, a := range apps {
 					if rng.Float64() < *drop {
-						mu.Lock()
-						dropped++
-						mu.Unlock()
+						dropped.Add(1)
 						logf("%s round %d %s: upload dropped", id, round, a.Params.Name)
 						continue
 					}
@@ -137,11 +147,13 @@ func main() {
 					for err != nil {
 						apiErr, ok := err.(*server.APIError)
 						if !ok || !apiErr.Retryable || ctx.Err() != nil {
-							fatal(fmt.Errorf("%s round %d %s: %w", id, round, a.Params.Name, err))
+							failOnce.Do(func() {
+								failed = fmt.Errorf("%s round %d %s: %w", id, round, a.Params.Name, err)
+								cancel() // the other devices' uploads stop too
+							})
+							return
 						}
-						mu.Lock()
-						rejected++
-						mu.Unlock()
+						rejected.Add(1)
 						wait := apiErr.RetryAfter
 						if wait <= 0 {
 							wait = time.Second
@@ -150,61 +162,61 @@ func main() {
 						time.Sleep(wait)
 						err = c.PostProfile(ctx, sk.Encode())
 					}
-					mu.Lock()
-					sent++
-					mu.Unlock()
+					sent.Add(1)
 					logf("%s round %d %s: %d bytes accepted", id, round, a.Params.Name, len(sk.Encode()))
 				}
 			}(idx, round)
 		}
 		wg.Wait()
-		fmt.Printf("round %d/%d: %d sketches accepted, %d dropped, %d shed-retries\n",
-			round, *rounds, sent, dropped, rejected)
+		if failed != nil {
+			return fail(failed)
+		}
+		fmt.Fprintf(stdout, "round %d/%d: %d sketches accepted, %d dropped, %d shed-retries\n",
+			round, *rounds, sent.Load(), dropped.Load(), rejected.Load())
 	}
 
 	status, err := c.Fleet(ctx)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	sort.Slice(status, func(i, j int) bool { return status[i].App < status[j].App })
 	for _, as := range status {
-		fmt.Printf("consensus %s: rev %d, %d sketches, ~%.0f devices, %d keys, digest %s\n",
+		fmt.Fprintf(stdout, "consensus %s: rev %d, %d sketches, ~%.0f devices, %d keys, digest %s\n",
 			as.App, as.Revision, as.Sketches, as.Devices, as.Keys, as.Digest)
 	}
 
 	if !*converge {
-		return
+		return 0
 	}
 	for _, a := range apps {
 		st, err := c.Submit(ctx, server.SubmitRequest{Kind: server.KindFleet, App: a.Params.Name, Quick: *quick})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		st, err = c.Wait(ctx, st.ID, *timeout)
-		if err != nil {
-			fatal(err)
+		if st, err = c.Wait(ctx, st.ID, *timeout); err != nil {
+			return fail(err)
 		}
 		if st.State != server.StateSucceeded {
-			fatal(fmt.Errorf("fleet job %s for %s %s: %s", st.ID, a.Params.Name, st.State, st.Error))
+			return fail(fmt.Errorf("fleet job %s for %s %s: %s", st.ID, a.Params.Name, st.State, st.Error))
 		}
 		res, err := c.Result(ctx, st.ID)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		printText(res)
+		printText(stdout, res)
 	}
+	return 0
 }
 
 // printText prints the "text" field of a result document, falling back to
 // the raw JSON.
-func printText(res []byte) {
+func printText(w io.Writer, res []byte) {
 	var doc struct {
 		Text string `json:"text"`
 	}
 	if err := json.Unmarshal(res, &doc); err == nil && doc.Text != "" {
-		fmt.Print(doc.Text)
+		fmt.Fprint(w, doc.Text)
 		return
 	}
-	os.Stdout.Write(res)
-	fmt.Println()
+	fmt.Fprintf(w, "%s\n", res)
 }

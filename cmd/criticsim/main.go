@@ -22,11 +22,15 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
+	"os/signal"
+	"slices"
 	"strings"
+	"syscall"
 	"time"
 
 	"critics"
@@ -36,28 +40,54 @@ import (
 )
 
 func main() {
+	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM) // os.Exit makes stop moot
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is criticsim given its arguments and output streams; cancelling ctx
+// abandons the run. It returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("criticsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		expID       = flag.String("exp", "", "experiment id to run (see -list)")
-		all         = flag.Bool("all", false, "run every experiment")
-		list        = flag.Bool("list", false, "list experiment ids")
-		app         = flag.String("app", "", "run the end-to-end pipeline on one app")
-		quick       = flag.Bool("quick", false, "reduced window sizes")
-		measureArch = flag.Int("measure-arch", 0, "measured window size in architectural instructions (0 = scale default; the streaming pipeline holds memory constant as this grows)")
-		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial; results identical)")
-		l1iPolicy   = flag.String("l1i-policy", "", "L1I replacement policy for -app runs (empty = lru baseline; see fig-frontend)")
-		codeLayout  = flag.String("code-layout", "", "profile-guided code-layout pass for -app runs (empty = program order)")
-		cacheStats  = flag.Bool("cache-stats", false, "print memo-cache hit/miss counters after the run")
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address while running")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON file (open in Perfetto / chrome://tracing)")
-		verbose     = flag.Bool("v", false, "structured progress log on stderr")
+		expID       = fs.String("exp", "", "experiment id to run (see -list)")
+		all         = fs.Bool("all", false, "run every experiment")
+		list        = fs.Bool("list", false, "list experiment ids")
+		app         = fs.String("app", "", "run the end-to-end pipeline on one app")
+		quick       = fs.Bool("quick", false, "reduced window sizes")
+		measureArch = fs.Int("measure-arch", 0, "measured window size in architectural instructions (0 = scale default; the streaming pipeline holds memory constant as this grows)")
+		workers     = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial; results identical)")
+		l1iPolicy   = fs.String("l1i-policy", "", "L1I replacement policy for -app runs (empty = lru baseline; see fig-frontend)")
+		codeLayout  = fs.String("code-layout", "", "profile-guided code-layout pass for -app runs (empty = program order)")
+		cacheStats  = fs.Bool("cache-stats", false, "print memo-cache hit/miss counters after the run")
+		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address while running")
+		traceOut    = fs.String("trace-out", "", "write a Chrome trace-event JSON file (open in Perfetto / chrome://tracing)")
+		verbose     = fs.Bool("v", false, "structured progress log on stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	// validName reports whether name is one of valid, printing them all
+	// when it is not.
+	validName := func(kind, name string, valid []string) bool {
+		if slices.Contains(valid, name) {
+			return true
+		}
+		fmt.Fprintf(stderr, "criticsim: unknown %s %q (valid: %s)\n", kind, name, strings.Join(valid, ", "))
+		return false
+	}
 
 	level := slog.LevelWarn
 	if *verbose {
 		level = slog.LevelInfo
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	logger := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
 
 	// The registry is always attached: it is free until scraped, and keeps
 	// -cache-stats and /metrics reading the same counters.
@@ -72,11 +102,9 @@ func main() {
 		opts = append(opts, critics.WithMeasureInstrs(*measureArch))
 	}
 	if *l1iPolicy != "" || *codeLayout != "" {
-		if *l1iPolicy != "" {
-			requireValidName("L1I policy", *l1iPolicy, critics.FrontendPolicies())
-		}
-		if *codeLayout != "" {
-			requireValidName("code layout", *codeLayout, critics.CodeLayouts())
+		if (*l1iPolicy != "" && !validName("L1I policy", *l1iPolicy, critics.FrontendPolicies())) ||
+			(*codeLayout != "" && !validName("code layout", *codeLayout, critics.CodeLayouts())) {
+			return 1
 		}
 		opts = append(opts, critics.WithFrontend(*l1iPolicy, *codeLayout))
 	}
@@ -85,151 +113,111 @@ func main() {
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", reg)
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		mux.Handle("/debug/pprof/", http.DefaultServeMux) // net/http/pprof registers there
 		logger.Info("serving metrics", "addr", *metricsAddr)
+		ms := &http.Server{Addr: *metricsAddr, Handler: mux}
+		defer ms.Close()
 		go func() {
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
+			if err := ms.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				logger.Error("metrics server failed", "err", err)
 			}
 		}()
 	}
 
-	// traceRuns binds an obs trace to experiment runs (-app runs export
-	// pipeline timelines through critics.TraceApp instead): each run records
-	// an exp:<id> span over its memo builds and shard maps. The file is
-	// created up front, so a bad path fails before any work; the returned
-	// func writes the trace into it as Chrome JSON.
-	traceRuns := func() (context.Context, func()) {
-		if *traceOut == "" {
-			return context.Background(), func() {}
+	// closeTrace closes the -trace-out file once written, keeping the first
+	// error.
+	closeTrace := func(f *os.File, err error) error {
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		t := obs.NewTrace("criticsim")
-		return obs.ContextWith(context.Background(), t, ""), func() {
-			err := t.WriteChrome(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		if err == nil {
 			logger.Info("trace written", "path", *traceOut)
 		}
+		return err
 	}
 
 	switch {
 	case *list:
 		for _, id := range critics.ExperimentIDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
 	case *app != "":
 		// Validate before any side effect (notably the -trace-out file) so
 		// a typo fails cleanly with the valid names and nothing half-created.
-		requireValidName("app", *app, critics.AppNames())
+		if !validName("app", *app, critics.AppNames()) {
+			return 1
+		}
 		start := time.Now()
-		var (
-			rep *critics.Report
-			err error
-		)
-		if *traceOut != "" {
-			var f *os.File
-			f, err = os.Create(*traceOut)
-			if err == nil {
-				rep, err = critics.TraceApp(*app, f, opts...)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-				if err == nil {
-					logger.Info("trace written", "path", *traceOut)
-				}
-			}
+		var rep *critics.Report
+		var err error
+		if *traceOut == "" {
+			rep, err = critics.OptimizeAppContext(ctx, *app, opts...)
+		} else if f, cerr := os.Create(*traceOut); cerr != nil {
+			err = cerr
 		} else {
-			rep, err = critics.OptimizeApp(*app, opts...)
+			rep, err = critics.TraceAppContext(ctx, *app, f, opts...)
+			err = closeTrace(f, err)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		logger.Info("app optimized", "app", *app, "speedup_pct", rep.SpeedupPct,
 			"seconds", time.Since(start).Seconds())
-		fmt.Print(rep)
-	case *all:
-		ctx, writeTrace := traceRuns()
-		// fig3a/b/c share a runner, as do fig10a/b/c and fig11a/b; run
-		// each runner once. A session caches programs/profiles/variants
-		// and measurements across experiments.
-		sess := critics.NewSession(opts...)
-		ran := map[string]bool{}
-		dedup := map[string]string{
-			"fig3b": "fig3a", "fig3c": "fig3a",
-			"fig10b": "fig10a", "fig10c": "fig10a",
-			"fig11b": "fig11a",
-			"fig13b": "fig13a",
+		fmt.Fprint(stdout, rep)
+	case *all, *expID != "":
+		ids := []string{*expID}
+		if *all {
+			// fig3b/c run fig3a's runner, as fig10b/c run fig10a's and
+			// fig11b and fig13b run fig11a's and fig13a's: run each once.
+			ids = slices.DeleteFunc(critics.ExperimentIDs(), func(id string) bool {
+				return slices.Contains([]string{"fig3b", "fig3c", "fig10b", "fig10c", "fig11b", "fig13b"}, id)
+			})
+		} else if !validName("experiment", *expID, critics.ExperimentIDs()) {
+			return 1
 		}
-		for _, id := range critics.ExperimentIDs() {
-			canon := id
-			if c, ok := dedup[id]; ok {
-				canon = c
+		// -trace-out binds an obs trace to the runs (-app runs export
+		// pipeline timelines through TraceAppContext instead): each run
+		// records an exp:<id> span over its memo builds and shard maps. The
+		// file is created up front, so a bad path fails before any work.
+		runCtx := ctx
+		var f *os.File
+		var tr *obs.Trace
+		if *traceOut != "" {
+			var err error
+			if f, err = os.Create(*traceOut); err != nil {
+				return fail(err)
 			}
-			if ran[canon] {
-				continue
-			}
-			ran[canon] = true
-			logger.Info("experiment start", "id", canon)
+			defer f.Close() // on the error returns; closeTrace closes it after the runs
+			tr = obs.NewTrace("criticsim")
+			runCtx = obs.ContextWith(ctx, tr, "")
+		}
+		// A session caches programs/profiles/variants and measurements
+		// across experiments.
+		sess := critics.NewSession(opts...)
+		for _, id := range ids {
+			logger.Info("experiment start", "id", id)
 			start := time.Now()
-			out, err := exp.RunContext(ctx, canon, sess.Context())
+			out, err := exp.RunContext(runCtx, id, sess.Context())
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(err)
 			}
-			logger.Info("experiment done", "id", canon, "seconds", time.Since(start).Seconds())
-			fmt.Print(out)
-			fmt.Printf("  [%s in %.1fs]\n\n", canon, time.Since(start).Seconds())
+			logger.Info("experiment done", "id", id, "seconds", time.Since(start).Seconds())
+			fmt.Fprint(stdout, out)
+			if *all {
+				fmt.Fprintf(stdout, "  [%s in %.1fs]\n\n", id, time.Since(start).Seconds())
+			}
 		}
 		if *cacheStats {
-			fmt.Print(sess.CacheStats())
+			fmt.Fprint(stdout, sess.CacheStats())
 		}
-		writeTrace()
-	case *expID != "":
-		requireValidName("experiment", *expID, critics.ExperimentIDs())
-		ctx, writeTrace := traceRuns()
-		sess := critics.NewSession(opts...)
-		logger.Info("experiment start", "id", *expID)
-		start := time.Now()
-		out, err := exp.RunContext(ctx, *expID, sess.Context())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if tr != nil {
+			if err := closeTrace(f, tr.WriteChrome(f)); err != nil {
+				return fail(err)
+			}
 		}
-		logger.Info("experiment done", "id", *expID, "seconds", time.Since(start).Seconds())
-		fmt.Print(out)
-		if *cacheStats {
-			fmt.Print(sess.CacheStats())
-		}
-		writeTrace()
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
-}
-
-// requireValidName exits 1 with the full list of valid names when name is
-// not one of them.
-func requireValidName(kind, name string, valid []string) {
-	for _, v := range valid {
-		if v == name {
-			return
-		}
-	}
-	fmt.Fprintf(os.Stderr, "criticsim: unknown %s %q (valid: %s)\n", kind, name, strings.Join(valid, ", "))
-	os.Exit(1)
+	return 0
 }

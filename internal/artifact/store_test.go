@@ -302,14 +302,14 @@ func TestMemoSpill(t *testing.T) {
 
 	k1, k2 := sched.KeyOf("a"), sched.KeyOf("b")
 	cost := func(v string) int64 { return int64(len(v)) }
-	m.Get(k1, func() string { return "1" }, cost)
-	m.Get(k2, func() string { return "over-budget value" }, cost)
+	m.GetChecked(k1, func() string { return "1" }, cost, nil)
+	m.GetChecked(k2, func() string { return "over-budget value" }, cost, nil)
 
 	if st := m.Stats(); st.Spilled != 1 {
 		t.Fatalf("Spilled = %d, want 1: %+v", st.Spilled, st)
 	}
 	// The spilled value is served back without rebuilding.
-	v := m.Get(k2, func() string { t.Fatal("rebuilt a spilled value"); return "" }, cost)
+	v, _ := m.GetChecked(k2, func() string { t.Fatal("rebuilt a spilled value"); return "" }, cost, nil)
 	if v != "over-budget value" {
 		t.Fatalf("spill round trip returned %q", v)
 	}

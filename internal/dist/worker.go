@@ -51,11 +51,6 @@ type WorkerConfig struct {
 	// store are fetched from by digest — normally the coordinator's criticd.
 	// Empty means scan tasks must find their artifacts locally.
 	ArtifactSource string
-
-	// FailFirstTasks makes the worker answer its first N tasks with an
-	// injected 500 — a chaos hook for exercising the coordinator's retry
-	// path in smoke tests. 0 (the default) disables it.
-	FailFirstTasks int
 }
 
 // Worker executes measurement tasks against a shared cache bundle — the
@@ -65,10 +60,9 @@ type Worker struct {
 	cfg WorkerConfig
 	log *slog.Logger
 
-	slots     chan struct{} // admission semaphore, Capacity wide
-	inflight  sync.WaitGroup
-	draining  atomic.Bool
-	failFirst atomic.Int64 // remaining injected failures (FailFirstTasks)
+	slots    chan struct{} // admission semaphore, Capacity wide
+	inflight sync.WaitGroup
+	draining atomic.Bool
 
 	tasksDone *telemetry.Counter
 	tasksErr  *telemetry.Counter
@@ -104,7 +98,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		fetchClient: &http.Client{Timeout: 2 * time.Minute},
 		indexes:     scan.NewIndexCache(),
 	}
-	w.failFirst.Store(int64(cfg.FailFirstTasks))
 	if reg := cfg.Registry; reg != nil {
 		w.tasksDone = reg.Counter("critics_dist_worker_tasks_executed_total",
 			"Tasks executed successfully by this worker.")
@@ -163,17 +156,6 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 		writeJSON(rw, http.StatusBadRequest, errorBody{Error: "malformed task: " + err.Error()})
 		return
 	}
-	if w.cfg.FailFirstTasks > 0 && w.failFirst.Add(-1) >= 0 {
-		// Injected transient failure: 500 sends the coordinator to another
-		// worker via its retry path.
-		if w.tasksErr != nil {
-			w.tasksErr.Inc()
-		}
-		w.log.Warn("injecting task failure", "task", task.ID)
-		writeJSON(rw, http.StatusInternalServerError, errorBody{Error: "injected failure (fail-first-tasks)"})
-		return
-	}
-
 	// Admission: wait for a slot or for the dispatcher to give up.
 	select {
 	case w.slots <- struct{}{}:

@@ -109,9 +109,9 @@ func registerMemo[V any](reg *telemetry.Registry, name string, m *sched.Memo[V])
 // (builds finished under a cancelled run context are discarded, never
 // retained) and, when the run context carries an obs trace, counts the
 // outcome on it and records a build span for a miss. With no run context
-// bound it is exactly Memo.Get. Under cancellation the returned value may be
-// the zero value — callers observe Context.Err and discard the run's
-// outputs.
+// bound it is exactly Memo.GetChecked with no check. Under cancellation the
+// returned value may be the zero value — callers observe Context.Err and
+// discard the run's outputs.
 func memoGet[V any](c *Context, m *sched.Memo[V], span string, key sched.Key, build func() V, cost func(V) int64) V {
 	valid := c.validFn()
 	if valid != nil && !valid() {

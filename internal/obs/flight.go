@@ -15,8 +15,8 @@ type Event struct {
 	Detail string    `json:"detail,omitempty"`
 }
 
-// Event types appended by server and dist. Kept as constants so the CI
-// smoke and the docs reference the same vocabulary.
+// Event types appended by server and dist. Kept as constants so the tests
+// and the docs reference the same vocabulary.
 const (
 	EvAdmitted   = "admitted"
 	EvDequeued   = "dequeued"

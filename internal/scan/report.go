@@ -97,8 +97,8 @@ const textTopN = 20
 // milli renders a ×1000 fixed-point value ("12.375").
 func milli(v int64) string { return fmt.Sprintf("%d.%03d", v/1000, v%1000) }
 
-// Text renders the report deterministically — the byte-identical surface the
-// CI scan-smoke job diffs between local and distributed execution.
+// Text renders the report deterministically — the byte-identical surface
+// cmd/criticctl's tests compare between local and distributed execution.
 func (r *Report) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scan report\n")

@@ -160,17 +160,43 @@ func BuildIndex(img io.Reader, size int64) (*Index, error) {
 const ccReg = int(isa.ThumbMaxReg) + 7 // one past the architectural registers
 
 // ScoreChunk scores one trace chunk against the image index: it synthesizes
-// a dynamic dependence stream from the static operands (last-writer
-// tracking, reset at the chunk start so scoring is position-independent),
-// extracts chains with the profiler's dfg machinery, and keeps the chains a
-// CritIC conversion would have paid off on.
+// the chunk's dynamic dependence stream, extracts chains with the profiler's
+// dfg machinery, and keeps the chains a CritIC conversion would have paid
+// off on.
 func ScoreChunk(idx *Index, chunkIndex int, addrs []uint32, opt Options) ChunkResult {
 	opt = opt.withDefaults()
 	res := ChunkResult{Chunk: chunkIndex}
+	dyns, insts, statics := synthesize(idx, addrs, &res)
+	res.Instrs = len(dyns)
+	if len(dyns) == 0 {
+		return res
+	}
 
-	dyns := make([]trace.Dyn, 0, len(addrs))
-	insts := make([]isa.Inst, 0, len(addrs))
-	statics := make([]ent, 0, len(addrs))
+	chains := dfg.Extract(dyns, dfg.Options{
+		ChunkSize:    len(dyns), // one extraction window: the trace chunk
+		FanoutWindow: opt.FanoutWindow,
+		HighFanout:   opt.HighFanout,
+		MaxLen:       opt.MaxLen,
+		MinLen:       opt.MinLen,
+	})
+	for ci := range chains {
+		c := &chains[ci]
+		if op, ok := qualify(c, dyns, insts, statics, opt); ok {
+			op.Chunk = chunkIndex
+			res.Opportunities = append(res.Opportunities, op)
+		}
+	}
+	return res
+}
+
+// synthesize decodes a trace chunk into dynamic instructions whose
+// producers are the last in-chunk writers of their source registers and
+// flags (a BL writes LR). An address the static decode never produced (JIT
+// region, desynced trace, adversarial input) is counted and skipped.
+func synthesize(idx *Index, addrs []uint32, res *ChunkResult) (dyns []trace.Dyn, insts []isa.Inst, statics []ent) {
+	dyns = make([]trace.Dyn, 0, len(addrs))
+	insts = make([]isa.Inst, 0, len(addrs))
+	statics = make([]ent, 0, len(addrs))
 
 	// last[r] is the synthesized Seq of register r's last writer (-1 = no
 	// in-chunk writer); last[ccReg] tracks the condition flags.
@@ -183,8 +209,6 @@ func ScoreChunk(idx *Index, chunkIndex int, addrs []uint32, opt Options) ChunkRe
 	for _, a := range addrs {
 		e, ok := idx.lookup(a)
 		if !ok {
-			// An address the static decode never produced: JIT region,
-			// desynced trace, or an adversarial input. Counted, skipped.
 			res.Unknown++
 			continue
 		}
@@ -217,6 +241,9 @@ func ScoreChunk(idx *Index, chunkIndex int, addrs []uint32, opt Options) ChunkRe
 			if rd := e.inst.Dest(); rd != isa.NoReg {
 				last[int(rd)] = seq
 			}
+			if e.inst.Op == isa.OpBL {
+				last[isa.LR] = seq
+			}
 			if e.inst.WritesCC() {
 				last[ccReg] = seq
 			}
@@ -225,26 +252,7 @@ func ScoreChunk(idx *Index, chunkIndex int, addrs []uint32, opt Options) ChunkRe
 		insts = append(insts, e.inst)
 		statics = append(statics, e)
 	}
-	res.Instrs = len(dyns)
-	if len(dyns) == 0 {
-		return res
-	}
-
-	chains := dfg.Extract(dyns, dfg.Options{
-		ChunkSize:    len(dyns), // one extraction window: the trace chunk
-		FanoutWindow: opt.FanoutWindow,
-		HighFanout:   opt.HighFanout,
-		MaxLen:       opt.MaxLen,
-		MinLen:       opt.MinLen,
-	})
-	for ci := range chains {
-		c := &chains[ci]
-		if op, ok := qualify(c, dyns, insts, statics, opt); ok {
-			op.Chunk = chunkIndex
-			res.Opportunities = append(res.Opportunities, op)
-		}
-	}
-	return res
+	return dyns, insts, statics
 }
 
 // qualify decides whether a chain is a missed CritIC and scores it. A chain

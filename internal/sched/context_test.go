@@ -69,7 +69,7 @@ func TestGetCheckedDiscards(t *testing.T) {
 	if v != 42 || builds != 2 {
 		t.Errorf("rebuild after discard: v=%d builds=%d, want 42 after 2 builds", v, builds)
 	}
-	if v, hit = m.GetHit(k, func() int { builds++; return -1 }, nil); !hit || v != 42 || builds != 2 {
+	if v, hit = m.GetChecked(k, func() int { builds++; return -1 }, nil, nil); !hit || v != 42 || builds != 2 {
 		t.Errorf("valid rebuild not retained: v=%d hit=%v builds=%d", v, hit, builds)
 	}
 }

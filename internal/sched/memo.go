@@ -89,28 +89,13 @@ type SpillStore interface {
 }
 
 // NewMemo returns a memo retaining at most budgetBytes of summed value cost
-// (as reported by the cost function passed to Get); budgetBytes <= 0 means
-// unlimited.
+// (as reported by the cost function passed to GetChecked); budgetBytes <= 0
+// means unlimited.
 func NewMemo[V any](budgetBytes int64) *Memo[V] {
 	if budgetBytes < 0 {
 		budgetBytes = 0
 	}
 	return &Memo[V]{entries: map[Key]*entry[V]{}, budget: budgetBytes}
-}
-
-// Get returns the value for k, building it with build on first use. cost
-// reports the retention cost of a freshly built value in bytes (nil = 1).
-// Concurrent callers of the same key share one build.
-func (m *Memo[V]) Get(k Key, build func() V, cost func(V) int64) V {
-	v, _ := m.GetHit(k, build, cost)
-	return v
-}
-
-// GetHit is Get plus whether the lookup was a cache hit (a shared
-// single-flight build counts as a hit for every caller but the builder) —
-// the hook trace exports use to label memo spans.
-func (m *Memo[V]) GetHit(k Key, build func() V, cost func(V) int64) (V, bool) {
-	return m.GetChecked(k, build, cost, nil)
 }
 
 // EnableSpill attaches a spill tier: values the byte budget would drop on
@@ -120,15 +105,19 @@ func (m *Memo[V]) GetHit(k Key, build func() V, cost func(V) int64) (V, bool) {
 // over-budget artifact costs a decode per use instead of a rebuild. enc and
 // dec must round-trip exactly (builds are deterministic pure functions of
 // the key, so a lossy codec would break the bit-identical-results contract).
-// Call before the memo sees traffic; it is not synchronized against Get.
+// Call before the memo sees traffic; it is not synchronized against lookups.
 func (m *Memo[V]) EnableSpill(st SpillStore, enc func(V) ([]byte, error), dec func([]byte) (V, error)) {
 	m.spill = st
 	m.spillEnc = enc
 	m.spillDec = dec
 }
 
-// GetChecked is GetHit with a validity check: after build returns, valid()
-// decides whether the value may be used and retained. An invalid value
+// GetChecked returns the value for k, building it with build on first use,
+// and whether the lookup was a hit (a shared single-flight build counts as a
+// hit for every caller but the builder). cost reports the retention cost of
+// a freshly built value in bytes (nil = 1). Concurrent callers of the same
+// key share one build. After build returns, valid() decides whether the
+// value may be used and retained. An invalid value
 // (valid() == false — e.g. the build ran under a context that was cancelled
 // partway, so shards may have been skipped) is discarded: it is not
 // retained, it is not handed to single-flight waiters, and both the builder
@@ -210,7 +199,7 @@ func (m *Memo[V]) GetChecked(k Key, build func() V, cost func(V) int64, valid fu
 // Peek returns the retained value for k when a completed build is present,
 // without blocking on an in-flight build and without ever building. A
 // successful peek counts as a hit; an absent or still-building entry counts
-// nothing (the caller typically follows up with Get, which does the
+// nothing (the caller typically follows up with GetChecked, which does the
 // accounting for the build it joins or starts). Batch planners use Peek to
 // split a key set into cached and to-be-built subsets before deciding how to
 // build the misses.

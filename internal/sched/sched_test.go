@@ -105,7 +105,7 @@ func TestMemoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v := m.Get(k, func() int { builds.Add(1); return 7 }, nil)
+			v, _ := m.GetChecked(k, func() int { builds.Add(1); return 7 }, nil, nil)
 			if v != 7 {
 				t.Errorf("got %d", v)
 			}
@@ -130,13 +130,13 @@ func TestMemoPeek(t *testing.T) {
 	// Peek and Cached must not block on an in-flight build.
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go m.Get(k, func() int { close(started); <-release; return 7 }, nil)
+	go m.GetChecked(k, func() int { close(started); <-release; return 7 }, nil, nil)
 	<-started
 	if _, ok := m.Peek(k); ok || m.Cached(k) {
 		t.Error("peek or cached hit on an in-flight build")
 	}
 	close(release)
-	m.Get(k, func() int { return 7 }, nil) // join/observe the finished build
+	m.GetChecked(k, func() int { return 7 }, nil, nil) // join/observe the finished build
 	v, ok := m.Peek(k)
 	if !ok || v != 7 {
 		t.Errorf("peek after build = %d, %v; want 7, true", v, ok)
@@ -157,8 +157,8 @@ func TestMemoPeek(t *testing.T) {
 func TestMemoBudgetAdmission(t *testing.T) {
 	m := NewMemo[int](10)
 	cost := func(v int) int64 { return int64(v) }
-	m.Get(KeyOf(1), func() int { return 6 }, cost) // retained: used = 6
-	m.Get(KeyOf(2), func() int { return 6 }, cost) // over budget: not retained
+	m.GetChecked(KeyOf(1), func() int { return 6 }, cost, nil) // retained: used = 6
+	m.GetChecked(KeyOf(2), func() int { return 6 }, cost, nil) // over budget: not retained
 	if m.Len() != 1 {
 		t.Errorf("retained %d entries, want 1", m.Len())
 	}
@@ -170,12 +170,12 @@ func TestMemoBudgetAdmission(t *testing.T) {
 	}
 	// The un-retained key rebuilds on next lookup.
 	builds := 0
-	m.Get(KeyOf(2), func() int { builds++; return 6 }, cost)
+	m.GetChecked(KeyOf(2), func() int { builds++; return 6 }, cost, nil)
 	if builds != 1 {
 		t.Error("over-budget value was unexpectedly retained")
 	}
 	// The retained key still hits.
-	m.Get(KeyOf(1), func() int { t.Error("rebuilt retained key"); return 0 }, cost)
+	m.GetChecked(KeyOf(1), func() int { t.Error("rebuilt retained key"); return 0 }, cost, nil)
 }
 
 func TestStatsString(t *testing.T) {
@@ -213,10 +213,10 @@ func TestPoolMetrics(t *testing.T) {
 // TestGetHit checks the hit/miss report: builder misses, later callers hit.
 func TestGetHit(t *testing.T) {
 	m := NewMemo[int](0)
-	if _, hit := m.GetHit(KeyOf("k"), func() int { return 1 }, nil); hit {
+	if _, hit := m.GetChecked(KeyOf("k"), func() int { return 1 }, nil, nil); hit {
 		t.Error("first lookup reported a hit")
 	}
-	if v, hit := m.GetHit(KeyOf("k"), func() int { t.Error("rebuilt"); return 0 }, nil); !hit || v != 1 {
+	if v, hit := m.GetChecked(KeyOf("k"), func() int { t.Error("rebuilt"); return 0 }, nil, nil); !hit || v != 1 {
 		t.Errorf("second lookup: v=%d hit=%v, want 1 true", v, hit)
 	}
 }

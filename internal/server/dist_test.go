@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,17 +127,30 @@ func TestDistWorkersWithoutCoordinator(t *testing.T) {
 	}
 }
 
-// TestDistributedTrace is the in-process mirror of the CI obs-smoke: two
-// workers, one answering its first task with an injected 500, one job. The
-// job's trace must contain a retry dispatch leg (the coordinator routed the
-// failed task to the healthy worker) and merged worker-side spans carrying
-// the worker's URL as their site.
+// failFirstTask wraps a worker's handler so that its first task is answered
+// with a 500: a transient failure, which sends the coordinator's dispatch
+// down its retry path onto another worker.
+func failFirstTask(h http.Handler) http.Handler {
+	var failed atomic.Bool
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == dist.TaskPath && failed.CompareAndSwap(false, true) {
+			writeErr(w, http.StatusInternalServerError, "injected failure", true)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestDistributedTrace: two workers, one answering its first task with an
+// injected 500, one job. The job's trace must contain a retry dispatch leg
+// (the coordinator routed the failed task to the healthy worker) and merged
+// worker-side spans carrying the worker's URL as their site.
 func TestDistributedTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real pipeline")
 	}
-	bad := dist.NewWorker(dist.WorkerConfig{FailFirstTasks: 1})
-	badSrv := httptest.NewServer(bad.Handler())
+	bad := dist.NewWorker(dist.WorkerConfig{})
+	badSrv := httptest.NewServer(failFirstTask(bad.Handler()))
 	defer badSrv.Close()
 	good := dist.NewWorker(dist.WorkerConfig{})
 	goodSrv := httptest.NewServer(good.Handler())

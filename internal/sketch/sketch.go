@@ -440,8 +440,8 @@ func (s *Sketch) Profile() *core.Profile {
 }
 
 // Digest returns a short hex digest of the canonical wire encoding — the
-// byte-identity witness the determinism smoke compares across permuted
-// ingest orders.
+// byte-identity witness the closed-loop determinism test compares across
+// permuted ingest orders.
 func (s *Sketch) Digest() string {
 	sum := sha256.Sum256(s.Encode())
 	return hex.EncodeToString(sum[:8])

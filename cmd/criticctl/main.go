@@ -33,9 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 	"time"
 
 	"critics/internal/server"
@@ -71,8 +69,7 @@ type exitCode int
 func (e exitCode) Error() string { return fmt.Sprintf("exit status %d", int(e)) }
 
 func main() {
-	ctx, _ := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM) // os.Exit makes stop moot
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is criticctl given its arguments and output streams; cancelling ctx

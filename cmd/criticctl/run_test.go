@@ -3,16 +3,22 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"critics/internal/artifact"
 	"critics/internal/dist"
+	"critics/internal/fleet"
 	"critics/internal/obs"
 	"critics/internal/server"
 	"critics/internal/telemetry"
+	"critics/internal/workload"
 )
 
 // criticctl runs criticctl's run with args and returns its exit code,
@@ -51,8 +57,8 @@ func startDaemon(t *testing.T, cfg server.Config) string {
 }
 
 // TestCommandsAgainstDaemon drives each job, trace and fleet command
-// through run against an in-process daemon, and the usage errors' exit
-// codes.
+// through run against an in-process daemon, fleet status before and after
+// device sketches arrive, and the usage errors' exit codes.
 func TestCommandsAgainstDaemon(t *testing.T) {
 	url := startDaemon(t, server.Config{QueueSize: 8, Workers: 2})
 	out := mustRun(t, "-addr", url, "submit", "-app", "acrobat", "-quick", "-wait")
@@ -71,6 +77,26 @@ func TestCommandsAgainstDaemon(t *testing.T) {
 	}
 	if out := mustRun(t, "-addr", url, "status", job); !strings.Contains(out, "state=succeeded") {
 		t.Errorf("status %s: %s", job, out)
+	}
+
+	// Once device sketches are merged, fleet status prints the app's row.
+	app := workload.MobileApps()[0]
+	c := server.NewClient(url)
+	for _, device := range []string{"d0", "d1"} {
+		if err := c.PostProfile(context.Background(), fleet.BuildDeviceSketch(app, device, 1).Encode()); err != nil {
+			t.Fatalf("post profile: %v", err)
+		}
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		out := mustRun(t, "-addr", url, "fleet", "status")
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		if row := strings.Fields(lines[len(lines)-1]); len(lines) == 2 && strings.HasPrefix(lines[0], "APP") &&
+			len(row) == 7 && row[0] == app.Params.Name && row[2] == "2" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet status after two device sketches:\n%s", out)
+		}
 	}
 	for _, c := range []struct {
 		args []string
@@ -99,8 +125,9 @@ func TestCommandsAgainstDaemon(t *testing.T) {
 // up-front and one self-registered, reports byte-identically to the same
 // scan computed in process with -local; so does a second scan of the same
 // image, which the coordinator and the workers serve from their index
-// caches. The store lists the uploads, chunks were scored on the remote
-// path, uploads were committed, and gc runs.
+// caches. trace -o writes a scan job's trace, top lists both workers, the
+// store lists the uploads, chunks were scored on the remote path, uploads
+// were committed, and gc runs.
 func TestScanFleetByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scans on a two-worker fleet")
@@ -111,7 +138,11 @@ func TestScanFleetByteIdentical(t *testing.T) {
 	url := startDaemon(t, server.Config{QueueSize: 8, Workers: 2, Registry: reg, Coordinator: coord})
 	for i := 0; i < 2; i++ {
 		// Workers fetch the scan artifacts from the daemon by digest.
-		wk := dist.NewWorker(dist.WorkerConfig{Capacity: 2, ArtifactSource: url})
+		store, err := artifact.Open(artifact.Config{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wk := dist.NewWorker(dist.WorkerConfig{Capacity: 2, ArtifactSource: url, Artifacts: store})
 		ws := httptest.NewServer(wk.Handler())
 		defer ws.Close()
 		defer wk.Drain()
@@ -125,14 +156,38 @@ func TestScanFleetByteIdentical(t *testing.T) {
 		t.Fatalf("workers printed:\n%s", out)
 	}
 
+	var job string
 	for _, args := range [][]string{
 		{"scan", "-app", "acrobat", "-chunk-bytes", "4096"},
 		{"scan", "-app", "acrobat", "-instrs", "20000"},
 	} {
-		fleet := mustRun(t, append([]string{"-addr", url}, args...)...)
-		if local := mustRun(t, append(args, "-local")...); fleet != local {
-			t.Errorf("%v: fleet-dispatched report differs from -local:\n%s\nlocal:\n%s", args, fleet, local)
+		code, remote, stderr := criticctl(append([]string{"-addr", url}, args...)...)
+		if code != 0 {
+			t.Fatalf("criticctl %v exited %d: %s", args, code, stderr)
 		}
+		if local := mustRun(t, append(args, "-local")...); remote != local {
+			t.Errorf("%v: fleet-dispatched report differs from -local:\n%s\nlocal:\n%s", args, remote, local)
+		}
+		if _, rest, ok := strings.Cut(stderr, "scan job "); ok {
+			job, _, _ = strings.Cut(rest, " ")
+		}
+	}
+
+	// trace -o writes the document trace prints.
+	if job == "" {
+		t.Fatal("scan printed no job id")
+	}
+	file := filepath.Join(t.TempDir(), "trace.json")
+	if out := mustRun(t, "-addr", url, "trace", job, "-o", file); !strings.HasPrefix(out, "trace written to "+file) {
+		t.Errorf("trace %s -o printed %q", job, out)
+	}
+	if raw, err := os.ReadFile(file); err != nil || string(raw) != mustRun(t, "-addr", url, "trace", job) || !json.Valid(raw) {
+		t.Errorf("trace %s -o wrote %d bytes (%v), not the JSON trace prints", job, len(raw), err)
+	}
+	// top lists both workers below the job and stage summary.
+	out := mustRun(t, "-addr", url, "top")
+	if !strings.Contains(out, "\nworkers   healthy=2\n") || strings.Count(out, "  healthy  inflight=") != 2 {
+		t.Errorf("top printed:\n%s", out)
 	}
 	if out := mustRun(t, "-addr", url, "artifacts", "list"); !strings.Contains(out, "sha256:") {
 		t.Errorf("artifacts list:\n%s", out)

@@ -144,7 +144,9 @@ func failFirstTask(h http.Handler) http.Handler {
 // TestDistributedTrace: two workers, one answering its first task with an
 // injected 500, one job. The job's trace must contain a retry dispatch leg
 // (the coordinator routed the failed task to the healthy worker) and merged
-// worker-side spans carrying the worker's URL as their site.
+// worker-side spans carrying the worker's URL as their site; its flight
+// record holds the retried event, its Chrome export parses, and generous
+// SLO targets hold.
 func TestDistributedTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real pipeline")
@@ -237,5 +239,26 @@ func TestDistributedTrace(t *testing.T) {
 	}
 	if !sawRetry {
 		t.Fatalf("no retried event in flight record: %+v", evs.Events)
+	}
+
+	// The Chrome export of the trace parses, and generous SLO targets hold
+	// over the stage histograms the job recorded.
+	if chrome, err := c.Trace(ctx, st.ID, "chrome"); err != nil || !json.Valid(chrome) {
+		t.Errorf("Chrome trace export: %v, valid JSON %v", err, json.Valid(chrome))
+	}
+	metrics, err := c.MetricsText(ctx)
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	var targets []obs.Target
+	for _, s := range []string{"queue_wait:p99<=2m", "dispatch_rtt:p99<=5m", "compute:p99<=10m", "e2e:p99<=10m"} {
+		tg, err := obs.ParseTarget(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets = append(targets, tg)
+	}
+	if v, err := obs.Evaluate(targets, obs.ParseStageHistograms(metrics, obs.SLOFamily, "stage")); err != nil || len(v) > 0 {
+		t.Errorf("SLO targets: violations %v, err %v", v, err)
 	}
 }

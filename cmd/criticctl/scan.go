@@ -15,11 +15,6 @@ import (
 	"critics/internal/server"
 )
 
-// scanChunkSize is the trace-file chunking criticctl uses when it generates
-// the trace itself (-app mode). Fixed so local and daemon-dispatched scans
-// of the same inputs are byte-identical.
-const scanChunkSize = 1024
-
 // cmdScan runs a source-free scan: score missed CritIC opportunities in a
 // binary image against a dynamic trace, without the source program. Inputs
 // are either real files (-image/-trace, the production path) or assembled
@@ -48,8 +43,7 @@ func (x *cli) scan(ctx context.Context, args []string) error {
 	}
 
 	if *local {
-		rep, err := scan.Run(img, bytes.NewReader(trc),
-			artifact.Sum(img), artifact.Sum(trc), scan.Options{})
+		rep, err := scan.Run(img, bytes.NewReader(trc), artifact.Sum(img), artifact.Sum(trc))
 		if err != nil {
 			return err
 		}
@@ -99,7 +93,7 @@ func scanInputs(app, imageFile, traceFile string, instrs int) (img, trc []byte, 
 		if img, addrs, err = critics.ScanInputs(app, instrs); err != nil {
 			return nil, nil, err
 		}
-		return img, scan.TraceBytes(addrs, scanChunkSize), nil
+		return img, scan.TraceBytes(addrs, scan.DefaultChunk), nil
 	default:
 		return nil, nil, fmt.Errorf("scan needs -app NAME or -image FILE -trace FILE")
 	}

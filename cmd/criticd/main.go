@@ -83,7 +83,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var (
 		addr         = fs.String("addr", ":9720", "listen address (host:port; port 0 picks one)")
 		drainTimeout = fs.Duration("drain-timeout", 2*time.Minute, "grace for in-flight jobs at shutdown")
-		artifactDir  = fs.String("artifact-dir", "", "directory backing the content-addressed artifact store (persists across restarts; empty = temp dir removed at exit). Worker mode: the local warm cache for scan artifacts")
+		artifactDir  = fs.String("artifact-dir", "", "directory backing the content-addressed artifact store (persists across restarts; empty = temp dir removed at exit, in worker mode too). Worker mode: the local warm cache for scan artifacts")
 		traceOut     = fs.String("trace-out", "", "write every finished job's trace spans here as Chrome trace-event JSON, flushed complete on graceful drain")
 		verbose      = fs.Bool("v", false, "structured request/job log on stderr")
 
@@ -118,13 +118,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterBuildInfo(reg, component)
 	// -artifact-dir persists the store across restarts (Open re-adopts the
-	// blobs on disk). Without it the daemon's server creates a temp store it
-	// removes at shutdown, and a worker one for its scan inputs; a worker
-	// re-opened on a shared -artifact-dir starts warm.
-	var store *artifact.Store
-	if *artifactDir != "" {
+	// blobs on disk); a worker re-opened on a shared -artifact-dir starts
+	// warm. Without it the daemon's server creates a temp store it removes
+	// at shutdown, and a worker's temp store for its scan inputs is created
+	// here and removed when run returns.
+	dir := *artifactDir
+	if dir == "" && *worker {
 		var err error
-		if store, err = artifact.Open(artifact.Config{Dir: *artifactDir, Registry: reg}); err != nil {
+		if dir, err = os.MkdirTemp("", "criticd-worker-artifacts-*"); err != nil {
+			return fail(err)
+		}
+		defer os.RemoveAll(dir)
+	}
+	var store *artifact.Store
+	if dir != "" {
+		var err error
+		if store, err = artifact.Open(artifact.Config{Dir: dir, Registry: reg}); err != nil {
 			return fail(err)
 		}
 	}
@@ -250,10 +259,12 @@ func runWorker(ctx context.Context, stdout io.Writer, logger *slog.Logger, reg *
 }
 
 // serve is the listen/serve/drain cycle of both modes. It listens on addr,
-// prints the one stdout line scripts parse (the resolved address, including
-// an ephemeral port when addr ends in :0), calls up, and serves h until ctx
-// is cancelled. Then drain runs under the grace deadline while the listener
-// still answers late status polls, and the listener closes last.
+// serves h, calls up, and only then prints the one stdout line scripts parse
+// (the resolved address, including an ephemeral port when addr ends in :0),
+// so a worker that prints it is already registered; a failed up prints
+// nothing. It serves until ctx is cancelled. Then drain runs under the grace
+// deadline while the listener still answers late status polls, and the
+// listener closes last.
 func serve(ctx context.Context, stdout io.Writer, logger *slog.Logger, addr string, grace time.Duration,
 	h http.Handler, up func(net.Addr) error, drain func(context.Context) error) error {
 	ln, err := net.Listen("tcp", addr)
@@ -261,13 +272,13 @@ func serve(ctx context.Context, stdout io.Writer, logger *slog.Logger, addr stri
 		return err
 	}
 	hs := &http.Server{Handler: h}
-	fmt.Fprintf(stdout, "criticd listening on http://%s\n", ln.Addr())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	if err := up(ln.Addr()); err != nil {
 		_ = hs.Close()
 		return err
 	}
+	fmt.Fprintf(stdout, "criticd listening on http://%s\n", ln.Addr())
 	select {
 	case <-ctx.Done():
 		logger.Info("draining", "grace", grace.String())

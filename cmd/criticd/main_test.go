@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"critics"
+	"critics/internal/dist"
 	"critics/internal/obs"
+	"critics/internal/scan"
 	"critics/internal/server"
 )
 
@@ -124,18 +128,14 @@ func submitWait(t *testing.T, c *server.Client, req server.SubmitRequest) (strin
 	return st.ID, res.Text
 }
 
-// awaitWorkers waits until the coordinator lists n workers: a worker
-// prints its listening line before it registers.
+// awaitWorkers requires the coordinator to list n workers. It need not
+// wait: a worker prints its listening line only after it has registered,
+// and a coordinator adds the workers listed with -dist-workers before it
+// prints its own.
 func awaitWorkers(t *testing.T, c *server.Client, n int) {
 	t.Helper()
-	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		ws, err := c.DistWorkers(context.Background())
-		if err == nil && len(ws) == n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet = %+v (%v), want %d workers", ws, err, n)
-		}
+	if ws, err := c.DistWorkers(context.Background()); err != nil || len(ws) != n {
+		t.Fatalf("fleet = %+v (%v), want %d workers", ws, err, n)
 	}
 }
 
@@ -240,5 +240,106 @@ func TestObservedFleet(t *testing.T) {
 	}
 	if builds == 0 {
 		t.Errorf("-trace-out holds no build span of job %s", job)
+	}
+}
+
+// TestWorkerTempStoreRemoved: a coordinator and a -worker daemon started
+// without -artifact-dir, as perfbench's scan fleet runs, score one scan job
+// whose chunks all go to the worker. Once both have drained, their temp
+// artifact stores are gone: TMPDIR is empty again.
+func TestWorkerTempStoreRemoved(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	coord := startDaemon(t, "-queue", "4", "-jobs", "1", "-dist")
+	w := startDaemon(t, "-worker", "-capacity", "2", "-coordinator", coord.url)
+
+	img, addrs, err := critics.ScanInputs("acrobat", 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trc := scan.TraceBytes(addrs, scan.DefaultChunk)
+	c := server.NewClient(coord.url)
+	ctx := context.Background()
+	imgDigest, err := c.UploadArtifact(ctx, img, 0)
+	if err != nil {
+		t.Fatalf("upload image: %v", err)
+	}
+	trcDigest, err := c.UploadArtifact(ctx, trc, 0)
+	if err != nil {
+		t.Fatalf("upload trace: %v", err)
+	}
+	submitWait(t, c, server.SubmitRequest{Kind: server.KindScan, ImageDigest: imgDigest, TraceDigest: trcDigest})
+	metrics := get(t, coord.url+"/metrics")
+	chunks := float64((len(addrs) + scan.DefaultChunk - 1) / scan.DefaultChunk)
+	remote, _ := obs.MetricValue(metrics, "critics_scan_chunks_scored_total", map[string]string{"path": "remote"})
+	local, _ := obs.MetricValue(metrics, "critics_scan_chunks_scored_total", map[string]string{"path": "local"})
+	if remote != chunks || local != 0 {
+		t.Errorf("chunks scored remote %v, local %v; want %v and 0", remote, local, chunks)
+	}
+
+	w.stop(t)
+	coord.stop(t)
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("%s left behind in TMPDIR after the drain", e.Name())
+	}
+}
+
+// lineWriter hands each write to a channel, so a test sees a line the
+// moment the daemon prints it.
+type lineWriter chan string
+
+func (w lineWriter) Write(p []byte) (int, error) {
+	w <- string(p)
+	return len(p), nil
+}
+
+// TestListeningLineAfterRegistration: a worker prints its listening line
+// only once the coordinator has answered its registration. A stub
+// coordinator holds the registration request open, and stdout stays empty
+// until the stub releases it.
+func TestListeningLineAfterRegistration(t *testing.T) {
+	arrived, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	stub := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == dist.RegisterPath {
+			once.Do(func() { close(arrived) })
+			<-release
+		}
+	}))
+	defer stub.Close()
+
+	stdout := make(lineWriter, 1) // the one line a daemon prints
+	ctx, cancel := context.WithCancel(context.Background())
+	code := make(chan int, 1)
+	go func() {
+		code <- run(ctx, []string{"-worker", "-addr", "127.0.0.1:0", "-artifact-dir", t.TempDir(),
+			"-coordinator", stub.URL}, stdout, io.Discard)
+	}()
+	select {
+	case <-arrived:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the worker never registered")
+	}
+	select {
+	case line := <-stdout:
+		t.Errorf("worker printed %q while its registration was still open", line)
+	default:
+	}
+	close(release)
+	select {
+	case line := <-stdout:
+		if !strings.HasPrefix(line, "criticd listening on http://127.0.0.1:") {
+			t.Errorf("first stdout line %q, want the listening line", line)
+		}
+	case <-time.After(30 * time.Second):
+		t.Error("no listening line after the registration was answered")
+	}
+	cancel()
+	if c := <-code; c != 0 {
+		t.Errorf("worker drained with exit %d, want 0", c)
 	}
 }

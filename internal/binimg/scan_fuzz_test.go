@@ -49,7 +49,7 @@ func FuzzScan(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, img, trc []byte) {
-		rep, err := scan.Run(img, bytes.NewReader(trc), "sha256:img", "sha256:trc", scan.Options{})
+		rep, err := scan.Run(img, bytes.NewReader(trc), "sha256:img", "sha256:trc")
 		if err != nil {
 			return
 		}

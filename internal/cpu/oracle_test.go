@@ -11,6 +11,10 @@ import (
 	"critics/internal/workload"
 )
 
+// raceEnabled is set by race_test.go when the tests run under the race
+// detector.
+var raceEnabled bool
+
 // quickWindows returns the warm and measured windows a quick-scale
 // measurement of app's kind variant simulates: the same seed, warm-up skip
 // and window lengths as exp.Context.Measure.
@@ -36,6 +40,11 @@ func fanoutStream(dyns []trace.Dyn) cpu.Stream {
 func TestRunStreamMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("catalog-wide reference comparison")
+	}
+	if raceEnabled {
+		// A serial sweep gives the race detector nothing to check; CI runs
+		// this test in a plain-mode step.
+		t.Skip("catalog-wide reference comparison; skipped under the race detector")
 	}
 	prio, clp, both := cpu.DefaultConfig(), cpu.DefaultConfig(), cpu.DefaultConfig()
 	prio.BackendPrio = true
@@ -81,6 +90,11 @@ func TestRunStreamMatchesReference(t *testing.T) {
 func TestPhysicalBoundsCatalog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("catalog-wide bounds check")
+	}
+	if raceEnabled {
+		// A serial sweep gives the race detector nothing to check; CI runs
+		// this test in a plain-mode step.
+		t.Skip("catalog-wide bounds check; skipped under the race detector")
 	}
 	ctx := exp.QuickContext()
 	cfg := cpu.DefaultConfig()

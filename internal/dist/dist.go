@@ -75,15 +75,16 @@ type Task struct {
 }
 
 // ScanTask is a batch of source-free scan work: score the named trace chunks
-// of (image, trace) — both referenced by artifact digest, never inlined. A
-// worker missing either artifact fetches it from the coordinator's store by
-// digest and keeps it in its local warm cache, so a recycled worker re-warms
-// on first use and later batches hit disk/memory locally.
+// of (image, trace) — both referenced by artifact digest, never inlined —
+// under the scanner's fixed criteria, which is why the task carries no
+// options. A worker missing either artifact fetches it from the
+// coordinator's store by digest and keeps it in its local warm cache, so a
+// recycled worker re-warms on first use and later batches hit disk/memory
+// locally. A worker without a store refuses the task.
 type ScanTask struct {
-	ImageDigest string       `json:"image_digest"`
-	TraceDigest string       `json:"trace_digest"`
-	Chunks      []int        `json:"chunks"`
-	Opt         scan.Options `json:"opt"`
+	ImageDigest string `json:"image_digest"`
+	TraceDigest string `json:"trace_digest"`
+	Chunks      []int  `json:"chunks"`
 }
 
 // label names a task for logs.

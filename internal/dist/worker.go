@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -44,7 +43,8 @@ type WorkerConfig struct {
 
 	// Artifacts is the worker's local content-addressed warm cache for scan
 	// inputs (binary images, traces): a recycled worker re-opened on the
-	// same directory starts warm. nil creates a temp-dir store.
+	// same directory starts warm. The caller owns the store; nil refuses
+	// scan tasks (422), so the coordinator scores them elsewhere.
 	Artifacts *artifact.Store
 
 	// ArtifactSource is the base URL scan artifacts missing from the local
@@ -86,11 +86,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	log := cfg.Logger
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 4}))
-	}
-	if cfg.Artifacts == nil {
-		if dir, err := os.MkdirTemp("", "critics-worker-artifacts-*"); err == nil {
-			cfg.Artifacts, _ = artifact.Open(artifact.Config{Dir: dir, Registry: cfg.Registry})
-		}
 	}
 	w := &Worker{
 		cfg: cfg, log: log,
@@ -265,7 +260,7 @@ func (w *Worker) executeScan(ctx context.Context, st ScanTask) ([]scan.ChunkResu
 		return nil, fmt.Errorf("opening trace artifact: %w", err)
 	}
 	defer rc.Close()
-	results, err := scan.ScoreSelected(idx, rc, st.Chunks, st.Opt)
+	results, err := scan.ScoreSelected(idx, rc, st.Chunks)
 	if err != nil {
 		// A malformed trace fails identically on every worker.
 		return nil, fmt.Errorf("%w: %v", errBadTask, err)

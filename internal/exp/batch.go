@@ -3,8 +3,6 @@ package exp
 import (
 	"context"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"critics/internal/cpu"
 	"critics/internal/obs"
@@ -100,14 +98,14 @@ type MeasureUnit struct {
 // MeasureRequest, and a miss the fleet cannot serve is built locally as one
 // lane.
 //
-// Groups are independent, so they run concurrently: at most c.workers()
-// groups of one call are in flight (the bound is per call: sweeps nest
-// inside forEach shards). Groups whose units are all retained in the memo are
-// looked up first on the caller's goroutine, which starts nothing; with
-// Workers == 1 every group runs on the caller's goroutine in first-appearance
-// order, the reference schedule. A group's panic is re-raised on the
-// caller's goroutine, and once the run context is cancelled no further group
-// starts.
+// Groups are independent, so they run concurrently on a sched.Pool: at most
+// c.workers() groups of one call are in flight (the bound is per call:
+// sweeps nest inside forEach shards). Groups whose units are all retained in
+// the memo are looked up first on the caller's goroutine, which starts
+// nothing; with Workers == 1 every group runs on the caller's goroutine in
+// first-appearance order, the reference schedule. A group's panic is
+// re-raised on the caller's goroutine, and once the run context is cancelled
+// no further group builds.
 func (c *Context) MeasureSweep(a workload.App, units []MeasureUnit, collect bool) []*Measurement {
 	// Sweep-sized plans stay on the stack: an all-cached sweep allocates
 	// only its keys' boxed configurations, one label per group and the
@@ -178,46 +176,20 @@ func (c *Context) groupCached(s *sweep, g int) bool {
 	return true
 }
 
-// measureGroups runs the pending groups of a sweep with at most w in flight:
-// the caller's goroutine and w-1 goroutines each claim the next group in
-// order until none is left or the run context is cancelled. It returns once
-// all have stopped, re-raising the panic of the first group that panicked.
-// It works on a copy of the plan, so the caller's stack-held plan never
-// escapes; the copy costs nothing next to the builds it schedules. out is
-// the plan's result slice, passed on its own for the same reason.
+// measureGroups runs the pending groups of a sweep on a pool of w workers
+// and re-raises the first group panic on the caller's goroutine. The pool is
+// unnamed and bound to no context: sweeps run concurrently inside forEach
+// shards, so a traced pool's per-trace map ordinals would not be
+// reproducible, and once the run is cancelled memoGet's validity check
+// skips every lookup of the groups still to run. It works on a copy of the
+// plan, so the caller's stack-held plan never escapes; the copy costs
+// nothing next to the builds it schedules. out is the plan's result slice,
+// passed on its own for the same reason.
 func (c *Context) measureGroups(a workload.App, plan *sweep, out []*Measurement, pending []int, w int) {
 	s := &sweep{units: slices.Clone(plan.units), keys: slices.Clone(plan.keys),
 		group: slices.Clone(plan.group), collect: plan.collect, out: out}
 	todo := slices.Clone(pending)
-	panics := make([]any, len(todo))
-	var next atomic.Int64
-	lane := func() {
-		for {
-			n := int(next.Add(1) - 1)
-			if n >= len(todo) || c.Err() != nil {
-				return
-			}
-			func() {
-				defer func() { panics[n] = recover() }()
-				c.measureGroup(a, s, todo[n])
-			}()
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for range w - 1 {
-		go func() {
-			defer wg.Done()
-			lane()
-		}()
-	}
-	lane()
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
+	sched.NewPool(w).Map(len(todo), func(n int) { c.measureGroup(a, s, todo[n]) })
 }
 
 // measureGroup looks up the units of group g in order, building misses as

@@ -17,7 +17,7 @@ import (
 // each chunk start, so a producer before the chunk counts as none.
 func TestSynthesizedProducersMatchGenerator(t *testing.T) {
 	const n = 32768
-	chunk := Options{}.withDefaults().ChunkSize
+	chunk := DefaultChunk
 	for _, app := range workload.MobileApps() {
 		p := workload.Generate(app.Params)
 		img, err := binimg.Assemble(p)

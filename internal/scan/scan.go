@@ -13,12 +13,15 @@
 // chunk is scored independently (ScoreChunk) by synthesizing a dynamic
 // dependence stream from the static operands — last-writer-per-register
 // (and CC) tracking, reset at chunk boundaries — and running the same dfg
-// fanout/chain extraction the source-level profiler uses. Chains that are
-// high-fanout, entirely 32-bit and Thumb-representable are missed CritICs:
-// opportunities the CritIC pass would have converted had it seen the source.
+// fanout/chain extraction, under the same criteria (dfg.DefaultOptions), the
+// source-level profiler uses, with chains capped at the CritIC pass's
+// length of 5. Chains that are high-fanout, entirely 32-bit and
+// Thumb-representable are missed CritICs: opportunities the CritIC pass
+// would have converted had it seen the source. A scan has no knobs, so its
+// estimate can be compared with the profiler's selection.
 //
 // Determinism contract: chunk scoring depends only on (image, chunk
-// addresses, options) — producer tracking resets per chunk, matching dfg's
+// addresses) — producer tracking resets per chunk, matching dfg's
 // in-chunk-only linking — and the merged report orders and scores with
 // integer-only arithmetic. A scan dispatched chunk-wise across a fleet is
 // therefore byte-identical to the same scan computed locally, which CI
@@ -34,46 +37,16 @@ import (
 	"unsafe"
 
 	"critics/internal/binimg"
+	"critics/internal/core"
 	"critics/internal/dfg"
 	"critics/internal/isa"
 	"critics/internal/trace"
 )
 
-// Options tunes a scan. The zero value means defaults.
-type Options struct {
-	// ChunkSize is the dynamic analysis window in instructions — the unit of
-	// both trace chunking and fleet dispatch. Default 1024 (matches dfg).
-	ChunkSize int `json:"chunk_size,omitempty"`
-	// FanoutWindow is the forward consumer-counting window. Default 128.
-	FanoutWindow int `json:"fanout_window,omitempty"`
-	// HighFanout is the criticality threshold on a chain's average fanout.
-	// Default 8.
-	HighFanout int32 `json:"high_fanout,omitempty"`
-	// MaxLen caps chain length (the CritIC pass hoists up to 5). Default 5.
-	MaxLen int `json:"max_len,omitempty"`
-	// MinLen is the minimum chain length reported. Default 2.
-	MinLen int `json:"min_len,omitempty"`
-}
-
-// withDefaults fills zero fields.
-func (o Options) withDefaults() Options {
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 1024
-	}
-	if o.FanoutWindow <= 0 {
-		o.FanoutWindow = 128
-	}
-	if o.HighFanout <= 0 {
-		o.HighFanout = 8
-	}
-	if o.MaxLen <= 0 {
-		o.MaxLen = 5
-	}
-	if o.MinLen <= 0 {
-		o.MinLen = 2
-	}
-	return o
-}
+// DefaultChunk is the trace chunk length in dynamic instructions, the dfg
+// default analysis window: the unit of trace chunking, of chunk scoring and
+// of fleet dispatch.
+const DefaultChunk = 1024
 
 // ent is one statically decoded instruction. The zero ent (size 0) is an
 // index slot no instruction starts at.
@@ -161,10 +134,12 @@ const ccReg = int(isa.ThumbMaxReg) + 7 // one past the architectural registers
 
 // ScoreChunk scores one trace chunk against the image index: it synthesizes
 // the chunk's dynamic dependence stream, extracts chains with the profiler's
-// dfg machinery, and keeps the chains a CritIC conversion would have paid
-// off on.
-func ScoreChunk(idx *Index, chunkIndex int, addrs []uint32, opt Options) ChunkResult {
-	opt = opt.withDefaults()
+// dfg machinery and criteria (dfg.DefaultOptions: fanout over a 128-
+// instruction window, average fanout of at least 8, chains of two or more)
+// over the chunk as one window, caps them at the CritIC pass's length
+// (core.DefaultConfig's 5), and keeps the chains a CritIC conversion would
+// have paid off on.
+func ScoreChunk(idx *Index, chunkIndex int, addrs []uint32) ChunkResult {
 	res := ChunkResult{Chunk: chunkIndex}
 	dyns, insts, statics := synthesize(idx, addrs, &res)
 	res.Instrs = len(dyns)
@@ -172,16 +147,13 @@ func ScoreChunk(idx *Index, chunkIndex int, addrs []uint32, opt Options) ChunkRe
 		return res
 	}
 
-	chains := dfg.Extract(dyns, dfg.Options{
-		ChunkSize:    len(dyns), // one extraction window: the trace chunk
-		FanoutWindow: opt.FanoutWindow,
-		HighFanout:   opt.HighFanout,
-		MaxLen:       opt.MaxLen,
-		MinLen:       opt.MinLen,
-	})
+	opt := dfg.DefaultOptions()
+	opt.ChunkSize = len(dyns) // one extraction window: the trace chunk
+	opt.MaxLen = core.DefaultConfig().MaxLen
+	chains := dfg.Extract(dyns, opt)
 	for ci := range chains {
 		c := &chains[ci]
-		if op, ok := qualify(c, dyns, insts, statics, opt); ok {
+		if op, ok := qualify(c, dyns, insts, statics, opt.HighFanout); ok {
 			op.Chunk = chunkIndex
 			res.Opportunities = append(res.Opportunities, op)
 		}
@@ -260,15 +232,15 @@ func synthesize(idx *Index, addrs []uint32, res *ChunkResult) (dyns []trace.Dyn,
 // a 32-bit, non-control, Thumb-representable instruction — the all-or-
 // nothing condition under which the CritIC pass could have hoisted it behind
 // one CDP-covered 16-bit run. (Without source we cannot check basic-block
-// membership; chain locality under MaxLen approximates it, which the report
-// labels an estimate.)
-func qualify(c *dfg.Chain, dyns []trace.Dyn, insts []isa.Inst, statics []ent, opt Options) (Opportunity, bool) {
+// membership; chain locality under the length cap approximates it, which
+// the report labels an estimate.)
+func qualify(c *dfg.Chain, dyns []trace.Dyn, insts []isa.Inst, statics []ent, highFanout int32) (Opportunity, bool) {
 	n := int64(len(c.Members))
 	if n == 0 {
 		return Opportunity{}, false
 	}
 	avgMilli := c.SumFanout * 1000 / n
-	if avgMilli < int64(opt.HighFanout)*1000 {
+	if avgMilli < int64(highFanout)*1000 {
 		return Opportunity{}, false
 	}
 	for _, m := range c.Members {
@@ -298,7 +270,7 @@ func qualify(c *dfg.Chain, dyns []trace.Dyn, insts []isa.Inst, statics []ent, op
 // takes the index from its IndexCache and scores chunk batches with
 // ScoreSelected, locally or on the fleet; both paths score each chunk with
 // ScoreChunk and merge with Merge, so their reports are byte-identical.
-func Run(img []byte, trc io.Reader, imageDigest, traceDigest string, opt Options) (*Report, error) {
+func Run(img []byte, trc io.Reader, imageDigest, traceDigest string) (*Report, error) {
 	idx, err := BuildIndex(bytes.NewReader(img), int64(len(img)))
 	if err != nil {
 		return nil, err
@@ -316,7 +288,7 @@ func Run(img []byte, trc io.Reader, imageDigest, traceDigest string, opt Options
 		if err != nil {
 			return nil, err
 		}
-		results = append(results, ScoreChunk(idx, ci, addrs, opt))
+		results = append(results, ScoreChunk(idx, ci, addrs))
 	}
 	return Merge(imageDigest, traceDigest, idx, results), nil
 }
@@ -327,7 +299,7 @@ func Run(img []byte, trc io.Reader, imageDigest, traceDigest string, opt Options
 // returns them ordered by chunk index. Chunk scoring is position-independent,
 // so the union of any partition of chunks merges into the same report Run
 // produces.
-func ScoreSelected(idx *Index, trc io.Reader, chunks []int, opt Options) ([]ChunkResult, error) {
+func ScoreSelected(idx *Index, trc io.Reader, chunks []int) ([]ChunkResult, error) {
 	want := make(map[int]bool, len(chunks))
 	for _, c := range chunks {
 		want[c] = true
@@ -348,7 +320,7 @@ func ScoreSelected(idx *Index, trc io.Reader, chunks []int, opt Options) ([]Chun
 		if !want[ci] {
 			continue
 		}
-		results = append(results, ScoreChunk(idx, ci, addrs, opt))
+		results = append(results, ScoreChunk(idx, ci, addrs))
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Chunk < results[j].Chunk })
 	return results, nil

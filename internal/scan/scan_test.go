@@ -115,7 +115,7 @@ func TestBuildIndexStreams(t *testing.T) {
 func TestRunFindsOpportunities(t *testing.T) {
 	img, addrs := appImage(t, 20000)
 	rep, err := Run(img, bytes.NewReader(TraceBytes(addrs, 0)),
-		"sha256:img", "sha256:trc", Options{})
+		"sha256:img", "sha256:trc")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -149,11 +149,10 @@ func TestChunkScoringPositionIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{}.withDefaults()
 	chunk := addrs[2048:3072] // an interior chunk
 
-	a := ScoreChunk(idx, 2, chunk, opt)
-	b := ScoreChunk(idx, 2, chunk, opt) // again, different call context
+	a := ScoreChunk(idx, 2, chunk)
+	b := ScoreChunk(idx, 2, chunk) // again, different call context
 	if len(a.Opportunities) != len(b.Opportunities) || a.Instrs != b.Instrs || a.FetchBytes != b.FetchBytes {
 		t.Fatalf("chunk scoring not reproducible: %+v vs %+v", a, b)
 	}
@@ -169,10 +168,9 @@ func TestChunkScoringPositionIndependent(t *testing.T) {
 // report text as the in-order local scan.
 func TestMergeOrderInsensitive(t *testing.T) {
 	img, addrs := appImage(t, 16384)
-	opt := Options{}
 	trc := TraceBytes(addrs, 0)
 
-	local, err := Run(img, bytes.NewReader(trc), "sha256:i", "sha256:t", opt)
+	local, err := Run(img, bytes.NewReader(trc), "sha256:i", "sha256:t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +192,7 @@ func TestMergeOrderInsensitive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results = append(results, ScoreChunk(idx, ci, chunk, opt.withDefaults()))
+		results = append(results, ScoreChunk(idx, ci, chunk))
 	}
 	// Shuffle deterministically: reverse, then interleave halves.
 	shuffled := make([]ChunkResult, 0, len(results))
@@ -218,7 +216,7 @@ func TestUnknownAddressesCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	bogus := append(append([]uint32{}, addrs[:64]...), 0xdeadbee0, 0xdeadbee4)
-	res := ScoreChunk(idx, 0, bogus, Options{}.withDefaults())
+	res := ScoreChunk(idx, 0, bogus)
 	if res.Unknown != 2 {
 		t.Fatalf("Unknown = %d, want 2", res.Unknown)
 	}

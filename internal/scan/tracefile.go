@@ -28,10 +28,10 @@ func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 func unzig(u uint64) int64  { return int64(u>>1) ^ -int64(u&1) }
 
 // WriteTrace encodes addrs into the chunked trace format, chunkSize dynamic
-// instructions per chunk (<= 0 means the Options default).
+// instructions per chunk (<= 0 means DefaultChunk).
 func WriteTrace(w io.Writer, addrs []uint32, chunkSize int) error {
 	if chunkSize <= 0 {
-		chunkSize = Options{}.withDefaults().ChunkSize
+		chunkSize = DefaultChunk
 	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(traceMagic); err != nil {

@@ -8,12 +8,12 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"critics/internal/artifact"
 	"critics/internal/dist"
 	"critics/internal/obs"
 	"critics/internal/scan"
+	"critics/internal/sched"
 	"critics/internal/telemetry"
 )
 
@@ -179,14 +179,11 @@ func writeArtifactErr(w http.ResponseWriter, digest string, err error) {
 // ---- scan job execution --------------------------------------------------
 
 // executeScan runs one KindScan job: take the image index from the index
-// cache (building it on first use), score every trace chunk — across the
-// dist fleet when one is healthy, locally otherwise — and merge into the
-// ranked report. Chunk scoring is
-// integer-only and position-independent and Merge orders deterministically,
-// so the distributed report is byte-identical to the local one.
+// cache (building it on first use), score every trace chunk (scoreChunks)
+// and merge into the ranked report. Chunk scoring is integer-only and
+// position-independent and Merge orders deterministically, so a report
+// scored on the fleet is byte-identical to one scored locally.
 func (s *Server) executeScan(ctx context.Context, req SubmitRequest) ([]byte, error) {
-	opt := scan.Options{}
-
 	t, parent, obsOn := obs.FromContext(ctx)
 	var tIndex int64
 	if obsOn {
@@ -226,13 +223,7 @@ func (s *Server) executeScan(ctx context.Context, req SubmitRequest) ([]byte, er
 	if obsOn {
 		tScore = t.Now()
 	}
-	var results []scan.ChunkResult
-	coord := s.cfg.Coordinator
-	if coord != nil && coord.HealthyWorkers() > 0 && n > 0 {
-		results, err = s.scanDistributed(ctx, idx, req, n, opt, coord)
-	} else {
-		results, err = s.scanLocal(idx, req.TraceDigest, allChunks(n), opt)
-	}
+	results, err := s.scoreChunks(ctx, idx, req, n)
 	if err != nil {
 		return nil, err
 	}
@@ -248,14 +239,59 @@ func (s *Server) executeScan(ctx context.Context, req SubmitRequest) ([]byte, er
 	return json.Marshal(res)
 }
 
-// scanLocal scores the given chunks on the daemon itself.
-func (s *Server) scanLocal(idx *scan.Index, traceDigest string, chunks []int, opt scan.Options) ([]scan.ChunkResult, error) {
+// scoreChunks scores the trace's n chunks in contiguous batches, all in
+// flight on one pool: two batches per healthy worker when the fleet is up,
+// one batch otherwise. A batch is dispatched to the fleet when it is up and
+// scored locally otherwise or when the fleet fails it — a degraded fleet
+// degrades throughput, never correctness or the report bytes. The results
+// come back in chunk order.
+func (s *Server) scoreChunks(ctx context.Context, idx *scan.Index, req SubmitRequest, n int) ([]scan.ChunkResult, error) {
+	coord := s.cfg.Coordinator
+	healthy := 0
+	if coord != nil {
+		healthy = coord.HealthyWorkers()
+	}
+	batches := batchChunks(n, max(2*healthy, 1))
+	outs := make([][]scan.ChunkResult, len(batches))
+	errs := make([]error, len(batches))
+	sched.NewPool(len(batches)).Map(len(batches), func(i int) {
+		if healthy > 0 {
+			res, err := coord.ScanRemote(ctx, dist.ScanTask{
+				ImageDigest: req.ImageDigest,
+				TraceDigest: req.TraceDigest,
+				Chunks:      batches[i],
+			})
+			if err == nil {
+				s.scanM.chunks("remote").Add(int64(len(res)))
+				outs[i] = res
+				return
+			}
+			if ctx.Err() != nil {
+				errs[i] = ctx.Err()
+				return
+			}
+			s.log.Warn("scan batch failed remotely; computing locally", "batch", i, "err", err)
+		}
+		outs[i], errs[i] = s.scoreLocal(idx, req.TraceDigest, batches[i])
+	})
+	var results []scan.ChunkResult
+	for i := range batches {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		results = append(results, outs[i]...)
+	}
+	return results, nil
+}
+
+// scoreLocal scores the given chunks on the daemon itself.
+func (s *Server) scoreLocal(idx *scan.Index, traceDigest string, chunks []int) ([]scan.ChunkResult, error) {
 	rc, _, err := s.artifacts.Open(traceDigest)
 	if err != nil {
 		return nil, fmt.Errorf("trace artifact %s: %w", traceDigest, err)
 	}
 	defer rc.Close()
-	results, err := scan.ScoreSelected(idx, rc, chunks, opt)
+	results, err := scan.ScoreSelected(idx, rc, chunks)
 	if err != nil {
 		return nil, fmt.Errorf("reading trace %s: %w", traceDigest, err)
 	}
@@ -263,82 +299,16 @@ func (s *Server) scanLocal(idx *scan.Index, traceDigest string, chunks []int, op
 	return results, nil
 }
 
-// scanDistributed fans the chunk range out across the worker fleet in
-// batches. A batch whose every dispatch attempt fails falls back to local
-// scoring — a degraded fleet degrades throughput, never correctness or the
-// report bytes.
-func (s *Server) scanDistributed(ctx context.Context, idx *scan.Index, req SubmitRequest, n int, opt scan.Options, coord *dist.Coordinator) ([]scan.ChunkResult, error) {
-	batches := batchChunks(n, 2*coord.HealthyWorkers())
-	type out struct {
-		results []scan.ChunkResult
-		err     error
-	}
-	outs := make([]out, len(batches))
-	var wg sync.WaitGroup
-	for i, batch := range batches {
-		wg.Add(1)
-		go func(i int, batch []int) {
-			defer wg.Done()
-			res, err := coord.ScanRemote(ctx, dist.ScanTask{
-				ImageDigest: req.ImageDigest,
-				TraceDigest: req.TraceDigest,
-				Chunks:      batch,
-				Opt:         opt,
-			})
-			if err == nil {
-				s.scanM.chunks("remote").Add(int64(len(res)))
-				outs[i] = out{results: res}
-				return
-			}
-			if ctx.Err() != nil {
-				outs[i] = out{err: ctx.Err()}
-				return
-			}
-			s.log.Warn("scan batch failed remotely; computing locally", "batch", i, "err", err)
-			res, lerr := s.scanLocal(idx, req.TraceDigest, batch, opt)
-			outs[i] = out{results: res, err: lerr}
-		}(i, batch)
-	}
-	wg.Wait()
-	var results []scan.ChunkResult
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		results = append(results, o.results...)
-	}
-	return results, nil
-}
-
-// allChunks returns [0, n).
-func allChunks(n int) []int {
-	chunks := make([]int, n)
-	for i := range chunks {
-		chunks[i] = i
-	}
-	return chunks
-}
-
-// batchChunks splits [0, n) into at most k contiguous batches of
+// batchChunks splits [0, n) into min(k, n) contiguous, non-empty batches of
 // near-equal size.
 func batchChunks(n, k int) [][]int {
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	batches := make([][]int, 0, k)
-	for i := 0; i < k; i++ {
-		lo, hi := i*n/k, (i+1)*n/k
-		if lo == hi {
-			continue
-		}
-		batch := make([]int, 0, hi-lo)
+	batches := make([][]int, min(k, n))
+	for i := range batches {
+		lo, hi := i*n/len(batches), (i+1)*n/len(batches)
+		batches[i] = make([]int, 0, hi-lo)
 		for c := lo; c < hi; c++ {
-			batch = append(batch, c)
+			batches[i] = append(batches[i], c)
 		}
-		batches = append(batches, batch)
 	}
 	return batches
 }

@@ -280,7 +280,11 @@ func TestScanDistributedByteIdentical(t *testing.T) {
 			s, c := start(t, cfg)
 			// Workers fetch scan artifacts from the daemon itself.
 			for i := 0; i < 2; i++ {
-				wk := dist.NewWorker(dist.WorkerConfig{ArtifactSource: c.base})
+				store, err := artifact.Open(artifact.Config{Dir: t.TempDir()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wk := dist.NewWorker(dist.WorkerConfig{ArtifactSource: c.base, Artifacts: store})
 				wsrv := httptest.NewServer(wk.Handler())
 				defer wsrv.Close()
 				coord.AddWorkerCapacity(wsrv.URL, 2)
@@ -300,6 +304,44 @@ func TestScanDistributedByteIdentical(t *testing.T) {
 	distributed := runScan(t, true)
 	if !bytes.Equal(local, distributed) {
 		t.Fatalf("distributed scan result differs from local:\nlocal:       %s\ndistributed: %s", local, distributed)
+	}
+}
+
+// TestScanFleetFallback: a coordinator whose one worker has no artifact
+// store gets every scan batch refused (422, not retried), so the daemon
+// scores every batch itself. The report is byte-identical to the one scored
+// without a fleet, and the chunk counter puts every chunk on the local path
+// and none on the remote one.
+func TestScanFleetFallback(t *testing.T) {
+	img, trc := scanFixture(t, 30000)
+	tr, err := scan.NewTraceReader(bytes.NewReader(trc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := int64(tr.Chunks())
+	_, lc := start(t, Config{QueueSize: 4, Workers: 1})
+	want := scanOnce(t, lc, img, trc)
+
+	reg, coordReg := telemetry.NewRegistry(), telemetry.NewRegistry()
+	coord := dist.NewCoordinator(dist.Config{Registry: coordReg, RetryBackoff: 5 * time.Millisecond})
+	defer coord.Close()
+	wsrv := httptest.NewServer(dist.NewWorker(dist.WorkerConfig{}).Handler())
+	defer wsrv.Close()
+	coord.AddWorkerCapacity(wsrv.URL, 2)
+	_, c := start(t, Config{QueueSize: 4, Workers: 1, Registry: reg, Coordinator: coord})
+	if got := scanOnce(t, c, img, trc); !bytes.Equal(got, want) {
+		t.Fatalf("fallback scan result differs from local:\nlocal:    %s\nfallback: %s", want, got)
+	}
+
+	// Two batches for the one healthy worker, each refused once.
+	if n := coordReg.Counter("critics_dist_tasks_failed_total", "").Value(); n != 2 {
+		t.Errorf("critics_dist_tasks_failed_total = %d, want 2: every batch refused by the fleet", n)
+	}
+	scored := func(path string) int64 {
+		return reg.Counter("critics_scan_chunks_scored_total", "", telemetry.L("path", path)).Value()
+	}
+	if remote, local := scored("remote"), scored("local"); remote != 0 || local != chunks {
+		t.Errorf("chunks scored remote %d, local %d; want 0 and %d", remote, local, chunks)
 	}
 }
 

@@ -1,9 +1,6 @@
 package critics
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 
 	"critics/internal/exp"
@@ -49,63 +46,4 @@ func BenchmarkLayoutC3(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// frontendBenchReport is the schema of BENCH_frontend.json — the per-policy
-// simulation cost and the layout-pass cost, written by TestWriteFrontendBench
-// in CI.
-type frontendBenchReport struct {
-	GoMaxProcs int                        `json:"gomaxprocs"`
-	Policies   map[string]sweepBenchEntry `json:"policies"`
-	LayoutC3   sweepBenchEntry            `json:"layout_c3"`
-}
-
-// frontendPolicyOverheadCeiling bounds how much slower a non-lru policy may
-// simulate relative to lru. The policy seam is two interface calls per cache
-// event; srrip/trrip add RRPV updates and (trrip) a binary search over the
-// hint table per hit. 1.5x leaves room for noise on shared CI runners while
-// still catching an accidental per-access allocation or quadratic scan.
-const frontendPolicyOverheadCeiling = 1.5
-
-// TestWriteFrontendBench runs the front-end benchmarks once and writes
-// BENCH_frontend.json to the path named by the BENCH_FRONTEND_OUT environment
-// variable; unset, the test is skipped. It also asserts the policy-overhead
-// ceiling, so the CI step producing the trajectory file doubles as the
-// policy-seam performance guard.
-func TestWriteFrontendBench(t *testing.T) {
-	out := os.Getenv("BENCH_FRONTEND_OUT")
-	if out == "" {
-		t.Skip("BENCH_FRONTEND_OUT not set")
-	}
-	rep := frontendBenchReport{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Policies:   map[string]sweepBenchEntry{},
-	}
-	results := map[string]testing.BenchmarkResult{
-		"lru":   testing.Benchmark(BenchmarkFrontendPolicyLRU),
-		"srrip": testing.Benchmark(BenchmarkFrontendPolicySRRIP),
-		"trrip": testing.Benchmark(BenchmarkFrontendPolicyTRRIP),
-	}
-	for pol, r := range results {
-		rep.Policies[pol] = toEntry(r)
-	}
-	rep.LayoutC3 = toEntry(testing.Benchmark(BenchmarkLayoutC3))
-	if lru := results["lru"].NsPerOp(); lru > 0 {
-		for _, pol := range []string{"srrip", "trrip"} {
-			if ratio := float64(results[pol].NsPerOp()) / float64(lru); ratio > frontendPolicyOverheadCeiling {
-				t.Errorf("%s simulates %.2fx slower than lru, ceiling %.1fx", pol, ratio, frontendPolicyOverheadCeiling)
-			}
-		}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("frontend bench: lru %.1fms/op, srrip %.1fms/op, trrip %.1fms/op, c3 pass %.2fms/op",
-		rep.Policies["lru"].MsPerOp, rep.Policies["srrip"].MsPerOp,
-		rep.Policies["trrip"].MsPerOp, rep.LayoutC3.MsPerOp)
 }

@@ -142,7 +142,7 @@ func BenchmarkPipelineSimulation(b *testing.B) {
 
 // BenchmarkSimNoRecords is the allocation guard for the no-records
 // simulation hot path: with a hoisted Sim and the window buffers warm in
-// the pool, a Run must not allocate per instruction (TestAllocCeilings pins
+// the pool, a Run must not allocate per instruction (TestLedger pins
 // allocs/op).
 func BenchmarkSimNoRecords(b *testing.B) {
 	app := acrobatProgram()
@@ -177,7 +177,7 @@ func BenchmarkMeasureStreaming(b *testing.B) {
 
 // BenchmarkMeasureVariantHit is the allocation guard for the single-variant
 // memo-hit path, the path every measurement of a cached optimize job takes.
-// TestAllocCeilings pins allocs/op.
+// TestLedger pins allocs/op.
 func BenchmarkMeasureVariantHit(b *testing.B) {
 	ctx := exp.QuickContext()
 	app := acrobatProgram()
@@ -199,7 +199,7 @@ var reportSink *Report
 // BenchmarkOptimizeWarm is a cached optimize job in process: OptimizeApp
 // with the daemon's options (quick scale, one SharedCaches, one telemetry
 // registry) over caches primed for every app, so each op is five memo hits
-// plus the per-job context set-up. TestAllocCeilings pins its bytes/op and
+// plus the per-job context set-up. TestLedger pins its bytes/op and
 // allocs/op.
 func BenchmarkOptimizeWarm(b *testing.B) {
 	opts := []Option{WithQuickScale(), WithSharedCaches(NewSharedCaches()), WithTelemetry(telemetry.NewRegistry())}
@@ -219,12 +219,10 @@ func BenchmarkOptimizeWarm(b *testing.B) {
 	}
 }
 
-// benchmarkSimTelemetry is the overhead guard for the telemetry nil-sink
-// fast path: Off simulates with Config.Metrics nil (the default every
-// experiment runs with unless -metrics-addr is up) and must stay within 2%
-// of the seed BenchmarkPipelineSimulation number; On attaches a live
-// registry and shows the full instrumented cost. CI runs both so the pair
-// is comparable in one log.
+// benchmarkSimTelemetry shows the cost of the telemetry instrumentation:
+// Off simulates with Config.Metrics nil (the nil-sink fast path every
+// experiment runs with unless -metrics-addr is up), On attaches a live
+// registry. Both are ledger rows, so the pair is comparable in one log.
 func benchmarkSimTelemetry(b *testing.B, metrics *cpu.Metrics) {
 	app := acrobatProgram()
 	p := workload.Generate(app.Params)
@@ -270,9 +268,8 @@ var profilerPlan = trace.SamplePlan{Samples: 4, Length: 10_000, Gap: 2_000, Warm
 var profileSink *core.Profile
 
 // BenchmarkProfiler times a whole profile build: sampling the windows plus
-// chain extraction, which streams each window chunk by chunk.
-// TestAllocCeilings pins its bytes/op below what re-materializing the
-// windows would add.
+// chain extraction, which streams each window chunk by chunk. TestLedger
+// pins its bytes/op below what re-materializing the windows would add.
 func BenchmarkProfiler(b *testing.B) {
 	app := acrobatProgram()
 	p := workload.Generate(app.Params)

@@ -44,7 +44,7 @@ func TestArtifactClientAgainstStub(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ArtifactList: %v", err)
 	}
-	if len(infos) != 1 || infos[0].Digest != digest || infos[0].Size != 4096 || infos[0].Tier != "mem" {
+	if len(infos) != 1 || infos[0].Digest != digest || infos[0].Size != 4096 {
 		t.Fatalf("ArtifactList = %+v", infos)
 	}
 

@@ -7,7 +7,7 @@ import (
 )
 
 // MemoSpill adapts a Store to sched.SpillStore, letting memo caches spill
-// over-budget values into the content-addressed tiers instead of dropping
+// over-budget values into the content-addressed store instead of dropping
 // them. Memo keys are already SHA-256 digests, but of the *inputs*; the
 // store addresses by content, so the adapter keeps a key→digest index and
 // pins each spilled blob with a ref while the index points at it.

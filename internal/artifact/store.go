@@ -18,14 +18,15 @@
 //     against the declared one; a mismatch aborts the upload and removes the
 //     .part file, leaving no orphan. Reads re-verify: Open returns a reader
 //     that hashes the bytes it hands out and fails at EOF on corruption.
-//   - Tiering: committed blobs live in a size-bounded in-memory tier while
-//     it has room and spill to disk otherwise; a process restart re-adopts
-//     the disk tier (the warm-cache story for recycled workers).
+//   - Persistence: every committed blob is its verified part file, renamed
+//     under Dir; a store reopened on the same directory re-adopts every blob
+//     (criticd -artifact-dir survives a restart, a recycled worker starts
+//     warm).
 //   - Ref-counted GC: consumers pin blobs with AddRef/Release; GC removes
 //     only unreferenced ones.
 //
 // The store also implements sched.SpillStore (spill.go), so memo caches can
-// push over-budget values through the same tiering instead of dropping them.
+// push over-budget values into the same store instead of dropping them.
 package artifact
 
 import (
@@ -96,13 +97,9 @@ func digestOfFile(name string) (string, bool) {
 
 // Config tunes a Store. Dir is required; the rest defaults.
 type Config struct {
-	// Dir is the disk tier root. Created if absent; existing blobs in it are
-	// adopted (a recycled worker restarts warm).
+	// Dir holds one file per committed blob. Created if absent; existing
+	// blobs in it are adopted (a recycled worker restarts warm).
 	Dir string
-
-	// MemBytes bounds the in-memory tier. Blobs larger than the remaining
-	// room stay on disk. Default 16 MiB; negative disables the memory tier.
-	MemBytes int64
 
 	// MaxBlobBytes caps a single blob. An upload that grows past it is
 	// aborted (part file removed) and refused with ErrTooLarge — the 413 the
@@ -119,15 +116,12 @@ type Info struct {
 	Digest string `json:"digest"`
 	Size   int64  `json:"size"`
 	Refs   int    `json:"refs"`
-	Tier   string `json:"tier"` // "mem" or "disk"
 }
 
-// blob is one committed artifact: exactly one of mem/path is set.
+// blob is one committed artifact, stored at s.path(digest).
 type blob struct {
 	size int64
 	refs int
-	mem  []byte // in-memory tier
-	path string // disk tier
 }
 
 // upload is one in-progress chunked write: a part file plus the running
@@ -148,11 +142,9 @@ type Store struct {
 	mu      sync.Mutex
 	blobs   map[string]*blob
 	uploads map[string]*upload
-	memUsed int64
 
 	// metrics (nil without a registry)
 	blobsG   *telemetry.Gauge
-	memG     *telemetry.Gauge
 	diskG    *telemetry.Gauge
 	uploads_ func(outcome string) *telemetry.Counter
 	gcTotal  *telemetry.Counter
@@ -160,17 +152,11 @@ type Store struct {
 }
 
 // Open creates (or adopts) a store rooted at cfg.Dir: the directory is
-// created if needed, committed blobs already in it join the disk tier with
+// created if needed, committed blobs already in it join the catalog with
 // zero refs, and stale .part files from a crashed upload are removed.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("artifact: Config.Dir is required")
-	}
-	if cfg.MemBytes == 0 {
-		cfg.MemBytes = 16 << 20
-	}
-	if cfg.MemBytes < 0 {
-		cfg.MemBytes = 0
 	}
 	if cfg.MaxBlobBytes <= 0 {
 		cfg.MaxBlobBytes = 256 << 20
@@ -181,7 +167,6 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg, blobs: map[string]*blob{}, uploads: map[string]*upload{}}
 	if reg := cfg.Registry; reg != nil {
 		s.blobsG = reg.Gauge("critics_artifact_blobs", "Committed blobs in the artifact store.")
-		s.memG = reg.Gauge("critics_artifact_bytes", "Committed artifact bytes by tier.", telemetry.L("tier", "mem"))
 		s.diskG = reg.Gauge("critics_artifact_bytes", "Committed artifact bytes by tier.", telemetry.L("tier", "disk"))
 		s.uploads_ = func(outcome string) *telemetry.Counter {
 			return reg.Counter("critics_artifact_uploads_total",
@@ -212,14 +197,17 @@ func Open(cfg Config) (*Store, error) {
 		if err != nil {
 			continue
 		}
-		s.blobs[d] = &blob{size: fi.Size(), path: filepath.Join(cfg.Dir, e.Name())}
+		s.blobs[d] = &blob{size: fi.Size()}
 	}
 	s.updateGauges()
 	return s, nil
 }
 
-// Dir returns the store's disk-tier root.
+// Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.cfg.Dir }
+
+// path is where the committed blob named digest lives.
+func (s *Store) path(digest string) string { return filepath.Join(s.cfg.Dir, fileName(digest)) }
 
 // MaxBlobBytes returns the per-blob size cap (the documented 413 limit).
 func (s *Store) MaxBlobBytes() int64 { return s.cfg.MaxBlobBytes }
@@ -230,16 +218,11 @@ func (s *Store) updateGauges() {
 	if s.blobsG == nil {
 		return
 	}
-	var mem, disk int64
+	var disk int64
 	for _, b := range s.blobs {
-		if b.mem != nil {
-			mem += b.size
-		} else {
-			disk += b.size
-		}
+		disk += b.size
 	}
 	s.blobsG.Set(int64(len(s.blobs)))
-	s.memG.Set(mem)
 	s.diskG.Set(disk)
 }
 
@@ -350,9 +333,8 @@ func (s *Store) abortLocked(digest string, up *upload) {
 	s.mu.Unlock()
 }
 
-// commitLocked promotes a fully-verified upload into the catalog: into the
-// memory tier when it fits the budget (part file removed), renamed to its
-// final blob name otherwise. Callers hold up.mu.
+// commitLocked promotes a fully-verified upload into the catalog by renaming
+// its part file to the blob's name. Callers hold up.mu.
 func (s *Store) commitLocked(digest string, up *upload) error {
 	size := up.committed
 	if err := up.f.Close(); err != nil {
@@ -370,24 +352,11 @@ func (s *Store) commitLocked(digest string, up *upload) error {
 		_ = os.Remove(up.path)
 		return nil
 	}
-	b := &blob{size: size}
-	if s.cfg.MemBytes > 0 && size <= s.cfg.MemBytes-s.memUsed {
-		data, err := os.ReadFile(up.path)
-		if err == nil && int64(len(data)) == size {
-			b.mem = data
-			s.memUsed += size
-			_ = os.Remove(up.path)
-		}
+	if err := os.Rename(up.path, s.path(digest)); err != nil {
+		_ = os.Remove(up.path)
+		return fmt.Errorf("artifact: %w", err)
 	}
-	if b.mem == nil {
-		final := filepath.Join(s.cfg.Dir, fileName(digest))
-		if err := os.Rename(up.path, final); err != nil {
-			_ = os.Remove(up.path)
-			return fmt.Errorf("artifact: %w", err)
-		}
-		b.path = final
-	}
-	s.blobs[digest] = b
+	s.blobs[digest] = &blob{size: size}
 	if s.uploads_ != nil {
 		s.uploads_("committed").Inc()
 	}
@@ -420,8 +389,8 @@ func (s *Store) Has(digest string) bool {
 }
 
 // verifyReader hashes everything it hands out and fails the read that
-// reaches EOF if the content does not match the digest — corruption on the
-// disk tier surfaces as an error, never as silently wrong bytes.
+// reaches EOF if the content does not match the digest — corruption on disk
+// surfaces as an error, never as silently wrong bytes.
 type verifyReader struct {
 	r      io.ReadCloser
 	h      hash.Hash
@@ -456,17 +425,11 @@ func (s *Store) Open(digest string) (io.ReadCloser, int64, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, digest)
 	}
-	var r io.ReadCloser
-	if b.mem != nil {
-		r = io.NopCloser(bytes.NewReader(b.mem))
-	} else {
-		f, err := os.Open(b.path)
-		if err != nil {
-			return nil, 0, fmt.Errorf("artifact: %w", err)
-		}
-		r = f
+	f, err := os.Open(s.path(digest))
+	if err != nil {
+		return nil, 0, fmt.Errorf("artifact: %w", err)
 	}
-	return &verifyReader{r: r, h: sha256.New(), digest: digest, store: s}, b.size, nil
+	return &verifyReader{r: f, h: sha256.New(), digest: digest, store: s}, b.size, nil
 }
 
 // Get reads a committed blob whole (verified).
@@ -513,11 +476,7 @@ func (s *Store) GC() (removed int, freed int64) {
 		if b.refs > 0 {
 			continue
 		}
-		if b.mem != nil {
-			s.memUsed -= b.size
-		} else {
-			_ = os.Remove(b.path)
-		}
+		_ = os.Remove(s.path(d))
 		delete(s.blobs, d)
 		removed++
 		freed += b.size
@@ -553,9 +512,5 @@ func (s *Store) List() []Info {
 }
 
 func infoOf(d string, b *blob) Info {
-	tier := "disk"
-	if b.mem != nil {
-		tier = "mem"
-	}
-	return Info{Digest: d, Size: b.size, Refs: b.refs, Tier: tier}
+	return Info{Digest: d, Size: b.size, Refs: b.refs}
 }

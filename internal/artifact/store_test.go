@@ -185,37 +185,12 @@ func TestTooLargeAborts(t *testing.T) {
 	}
 }
 
-func TestTierPlacementAndSpillToDisk(t *testing.T) {
-	s := open(t, Config{MemBytes: 64})
-	small := []byte("fits in the memory tier")
-	dSmall, _ := s.PutBytes(small)
-	big := bytes.Repeat([]byte("y"), 200)
-	dBig, _ := s.PutBytes(big)
-
-	if info, _ := s.Stat(dSmall); info.Tier != "mem" {
-		t.Fatalf("small blob tier = %s, want mem", info.Tier)
-	}
-	if info, _ := s.Stat(dBig); info.Tier != "disk" {
-		t.Fatalf("big blob tier = %s, want disk", info.Tier)
-	}
-	// Both tiers verify and round-trip.
-	for _, tc := range []struct {
-		d    string
-		want []byte
-	}{{dSmall, small}, {dBig, big}} {
-		got, err := s.Get(tc.d)
-		if err != nil || !bytes.Equal(got, tc.want) {
-			t.Fatalf("Get(%s): %v", tc.d, err)
-		}
-	}
-}
-
 func TestWarmRestartAdoptsDiskTier(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("persist me"), 50)
 	var d string
 	{
-		s := open(t, Config{Dir: dir, MemBytes: -1}) // disk-only
+		s := open(t, Config{Dir: dir})
 		d, _ = s.PutBytes(payload)
 		// A crashed upload leaves a part file behind.
 		if err := os.WriteFile(filepath.Join(dir, "sha256-dead.1234.part"), []byte("junk"), 0o644); err != nil {
@@ -234,11 +209,11 @@ func TestWarmRestartAdoptsDiskTier(t *testing.T) {
 
 func TestIntegrityVerificationOnRead(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, Config{Dir: dir, MemBytes: -1})
+	s := open(t, Config{Dir: dir})
 	payload := []byte("bytes that will rot on disk")
 	d, _ := s.PutBytes(payload)
 
-	// Corrupt the disk-tier file behind the store's back.
+	// Corrupt the blob's file behind the store's back.
 	if err := os.WriteFile(filepath.Join(dir, fileName(d)), []byte("bytes that will rot on dis!"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +223,7 @@ func TestIntegrityVerificationOnRead(t *testing.T) {
 }
 
 func TestRefCountedGC(t *testing.T) {
-	s := open(t, Config{MemBytes: -1})
+	s := open(t, Config{})
 	dPinned, _ := s.PutBytes([]byte("pinned"))
 	dLoose, _ := s.PutBytes([]byte("collectable"))
 	if !s.AddRef(dPinned) {
@@ -326,7 +301,7 @@ func TestMemoSpill(t *testing.T) {
 // chunk runs at O(copy-buffer) allocations regardless of chunk size — the
 // ingest path never buffers a blob.
 func TestIngestBoundedMemory(t *testing.T) {
-	s := open(t, Config{MemBytes: -1}) // disk tier only: no commit-time read-back
+	s := open(t, Config{})
 	chunk := bytes.Repeat([]byte("z"), 4<<20)
 	r := bytes.NewReader(nil)
 

@@ -505,13 +505,13 @@ func TestScanIndexMemoized(t *testing.T) {
 	}
 }
 
-// TestScanImageIntegrity: an image corrupted on the store's disk tier fails
+// TestScanImageIntegrity: an image corrupted in the store's directory fails
 // its scan with the integrity error instead of being indexed, and the
 // failure is not cached: once the bytes are restored, the next scan
 // succeeds.
 func TestScanImageIntegrity(t *testing.T) {
 	dir := t.TempDir()
-	store, err := artifact.Open(artifact.Config{Dir: dir, MemBytes: -1})
+	store, err := artifact.Open(artifact.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestScanImageIntegrity(t *testing.T) {
 	path := filepath.Join(dir, "sha256-"+strings.TrimPrefix(imgDigest, artifact.Prefix))
 	clean, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("image is not on the disk tier: %v", err)
+		t.Fatalf("image is not in the store's directory: %v", err)
 	}
 	corrupt := bytes.Clone(clean)
 	first := -1

@@ -367,7 +367,7 @@ func (c *Client) DistWorkers(ctx context.Context) ([]dist.WorkerStatus, error) {
 }
 
 // Wait polling parameters: exponential backoff from waitBaseDelay doubling
-// to waitMaxDelay, each step jittered ±25% so a fleet of waiting clients
+// to waitMaxDelay, each step jittered ±50% so a fleet of waiting clients
 // never polls in lockstep.
 const (
 	waitBaseDelay = 25 * time.Millisecond
@@ -393,7 +393,7 @@ func (c *Client) Wait(ctx context.Context, id string, timeout time.Duration) (Jo
 		if st.State.Terminal() {
 			return st, nil
 		}
-		// ±25% jitter, then exponential growth capped at waitMaxDelay.
+		// ±50% jitter, then exponential growth capped at waitMaxDelay.
 		jittered := delay/2 + time.Duration(rand.Int63n(int64(delay)))
 		select {
 		case <-ctx.Done():

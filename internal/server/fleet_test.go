@@ -5,11 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,7 +16,6 @@ import (
 
 	"critics/internal/fleet"
 	"critics/internal/sketch"
-	"critics/internal/telemetry"
 	"critics/internal/workload"
 )
 
@@ -242,78 +239,5 @@ func waitMerged(tb testing.TB, s *Server, app string, n uint64) {
 			tb.Fatalf("timed out waiting for %d merged sketches of %s", n, app)
 		}
 		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-// BenchmarkProfileIngest serves POST /v1/profiles in process, round-robin
-// over 8 device sketches, and stops the timer once every post is merged: the
-// per-request cost of fleet ingest from body to consensus, without sockets.
-// It posts only while fewer than 8 posts wait for the merger, the sketches
-// the warm-up round put in circulation. An unpaced loop outruns the merger
-// whenever the scheduler sets the merger aside, and then a request decodes
-// into a fresh sketch or is refused by the full queue. Pacing keeps every
-// request on the free list, so the allocations per request do not depend on
-// scheduling. TestProfileIngestAllocCeiling gates its B/op; a per-request
-// sketch allocation would add 32 KB.
-func BenchmarkProfileIngest(b *testing.B) {
-	app := workload.MobileApps()[0]
-	bodies := make([][]byte, 8)
-	for i := range bodies {
-		bodies[i] = fleet.BuildDeviceSketch(app, deviceName(i), 1).Encode()
-	}
-	s := New(stubConfig(echoStub))
-	defer s.Shutdown(context.Background())
-	h := s.Handler()
-	// One warm-up round archives every sketch and sizes the consensus.
-	for _, body := range bodies {
-		if code := postProfile(h, body); code != http.StatusAccepted {
-			b.Fatalf("warm-up post answered %d", code)
-		}
-	}
-	waitMerged(b, s, app.Params.Name, uint64(len(bodies)))
-	// The merger counts a sketch after it is back on the free list.
-	merged := s.reg.Counter("critics_fleet_sketches_total", "", telemetry.L("app", app.Params.Name))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// len(bodies)+i posted: wait for i+1 merged.
-		for deadline := time.Now().Add(10 * time.Second); merged.Value() <= int64(i); runtime.Gosched() {
-			if time.Now().After(deadline) {
-				b.Fatalf("merger stalled at %d sketches", merged.Value())
-			}
-		}
-		if code := postProfile(h, bodies[i%len(bodies)]); code != http.StatusAccepted {
-			b.Fatalf("post answered %d", code)
-		}
-	}
-	waitMerged(b, s, app.Params.Name, uint64(len(bodies)+b.N))
-	b.StopTimer()
-}
-
-// raceEnabled is set by race_test.go when the tests run under the race
-// detector.
-var raceEnabled bool
-
-// TestProfileIngestAllocCeiling pins the allocation ceiling of a profile
-// ingest request (POST /v1/profiles in process, through merge) over 2000
-// iterations of BenchmarkProfileIngest. The request decodes into a sketch
-// the fleet service recycles: about 15 KB/op, where a fresh 32 KB sketch
-// per request cost 87 KB/op, so the ceiling is 32768 B/op. Its ns/op is
-// logged, not gated.
-func TestProfileIngestAllocCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector changes allocation counts")
-	}
-	f := flag.Lookup("test.benchtime")
-	old := f.Value.String()
-	if err := f.Value.Set("2000x"); err != nil {
-		t.Fatal(err)
-	}
-	defer f.Value.Set(old)
-	r := testing.Benchmark(BenchmarkProfileIngest)
-	t.Logf("profile ingest request: %d B/op over %d iterations, %d ns/op (reported, not gated)",
-		r.AllocedBytesPerOp(), r.N, r.NsPerOp())
-	if r.N == 0 || r.AllocedBytesPerOp() > 32768 {
-		t.Errorf("profile ingest request: %d B/op over %d iterations, ceiling 32768", r.AllocedBytesPerOp(), r.N)
 	}
 }

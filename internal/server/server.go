@@ -732,6 +732,9 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 
 // ---- validation ----------------------------------------------------------
 
+// jobKinds lists the job kinds normalize accepts, for its messages.
+const jobKinds = "optimize, profile, experiment, trace, fleet, scan"
+
 // normalize infers the kind, canonicalizes the app name (case-insensitive
 // catalog match) and validates the request; it returns a non-empty message
 // on rejection.
@@ -743,7 +746,7 @@ func normalize(req *SubmitRequest) string {
 		case req.Experiment != "" && req.App == "":
 			req.Kind = KindExperiment
 		default:
-			return `missing "kind" (one of optimize, profile, experiment, trace)`
+			return `missing "kind" (one of ` + jobKinds + `)`
 		}
 	}
 	switch req.Kind {
@@ -771,7 +774,7 @@ func normalize(req *SubmitRequest) string {
 			return fmt.Sprintf("unknown experiment %q (valid: %s)", req.Experiment, strings.Join(critics.ExperimentIDs(), ", "))
 		}
 	default:
-		return fmt.Sprintf("unknown job kind %q (one of optimize, profile, experiment, trace, fleet, scan)", req.Kind)
+		return fmt.Sprintf("unknown job kind %q (one of %s)", req.Kind, jobKinds)
 	}
 	if req.TimeoutMS < 0 || req.Workers < 0 || req.MeasureInstrs < 0 {
 		return "timeout_ms, workers and measure_instrs must be non-negative"

@@ -1,5 +1,5 @@
 //go:build race
 
-package critics
+package critics_test
 
 func init() { raceEnabled = true }

@@ -148,8 +148,8 @@ func TestLedger(t *testing.T) {
 			r.layer, r.name, row.NsOp, row.AllocsOp, row.BytesOp, row.UnitsOp, procs)
 		if res.N != r.n || (r.allocs > 0 && row.AllocsOp > r.allocs) || (r.bytes > 0 && row.BytesOp > r.bytes) ||
 			(r.unitBytes > 0 && (row.UnitsOp == 0 || row.BytesOp > r.unitBytes*row.UnitsOp)) {
-			t.Errorf("%s %s: %d iterations of %d, %d allocs/op (ceiling %d), %d B/op (ceiling %d, or %d per unit of %d; 0 = not gated)",
-				r.layer, r.name, res.N, r.n, row.AllocsOp, r.allocs, row.BytesOp, r.bytes, r.unitBytes, row.UnitsOp)
+			t.Errorf("%s %s: %d of %d iterations, %d allocs/op, %d B/op, %d units/op; ceilings (0 = not gated) %d allocs/op, %d B/op, %d B per unit",
+				r.layer, r.name, res.N, r.n, row.AllocsOp, row.BytesOp, row.UnitsOp, r.allocs, r.bytes, r.unitBytes)
 		}
 		ns[r.layer+"/"+r.name] = row.NsOp
 		led.Rows = append(led.Rows, row)

@@ -142,7 +142,7 @@ func BenchmarkPipelineSimulation(b *testing.B) {
 
 // BenchmarkSimNoRecords is the allocation guard for the no-records
 // simulation hot path: with a hoisted Sim and the window buffers warm in
-// the pool, a Run must not allocate per instruction (TestLedger pins
+// the pool, a Run must not allocate per instruction (TestAllocCeilings pins
 // allocs/op).
 func BenchmarkSimNoRecords(b *testing.B) {
 	app := acrobatProgram()
@@ -177,7 +177,7 @@ func BenchmarkMeasureStreaming(b *testing.B) {
 
 // BenchmarkMeasureVariantHit is the allocation guard for the single-variant
 // memo-hit path, the path every measurement of a cached optimize job takes.
-// TestLedger pins allocs/op.
+// TestAllocCeilings pins allocs/op.
 func BenchmarkMeasureVariantHit(b *testing.B) {
 	ctx := exp.QuickContext()
 	app := acrobatProgram()
@@ -199,7 +199,7 @@ var reportSink *Report
 // BenchmarkOptimizeWarm is a cached optimize job in process: OptimizeApp
 // with the daemon's options (quick scale, one SharedCaches, one telemetry
 // registry) over caches primed for every app, so each op is five memo hits
-// plus the per-job context set-up. TestLedger pins its bytes/op and
+// plus the per-job context set-up. TestAllocCeilings pins its bytes/op and
 // allocs/op.
 func BenchmarkOptimizeWarm(b *testing.B) {
 	opts := []Option{WithQuickScale(), WithSharedCaches(NewSharedCaches()), WithTelemetry(telemetry.NewRegistry())}
@@ -268,8 +268,9 @@ var profilerPlan = trace.SamplePlan{Samples: 4, Length: 10_000, Gap: 2_000, Warm
 var profileSink *core.Profile
 
 // BenchmarkProfiler times a whole profile build: sampling the windows plus
-// chain extraction, which streams each window chunk by chunk. TestLedger
-// pins its bytes/op below what re-materializing the windows would add.
+// chain extraction, which streams each window chunk by chunk.
+// TestAllocCeilings pins its bytes/op below what re-materializing the
+// windows would add.
 func BenchmarkProfiler(b *testing.B) {
 	app := acrobatProgram()
 	p := workload.Generate(app.Params)

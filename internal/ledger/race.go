@@ -1,5 +1,5 @@
 //go:build race
 
-package critics_test
+package ledger
 
 func init() { raceEnabled = true }

@@ -1,44 +1,18 @@
 package critics_test
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
-	"flag"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"testing"
-	"time"
 
 	"critics"
-	"critics/internal/fleet"
-	"critics/internal/scan"
-	"critics/internal/server"
-	"critics/internal/telemetry"
-	"critics/internal/workload"
+	"critics/internal/ledger"
 )
 
-// raceEnabled is set by race_test.go when the tests run under the race
-// detector.
-var raceEnabled bool
-
-// ledgerRow is one row of the ledger: a benchmark run at a fixed iteration
-// count, so the ledger's run time is bounded, with its allocation ceilings.
-type ledgerRow struct {
-	layer, name string // layer: the critics_<layer>_* metric prefix, else the package
-	bench       func(*testing.B)
-	n           int   // iterations, as -benchtime=<n>x
-	procs       int   // GOMAXPROCS for the run; 0 keeps the current value
-	allocs      int64 // ceiling on allocs/op; 0 = not gated
-	bytes       int64 // ceiling on B/op; 0 = not gated
-	unitBytes   int64 // ceiling on B/op per unit of b.SetBytes; 0 = not gated
-}
-
-// ledger is every layer's cost, one row per case. Why each ceiling sits
-// where it does:
+// rows is every layer's cost, one row per case, in BENCH.json's order. Why
+// each ceiling sits where it does (ledger.Ingest and ledger.Index say why
+// for theirs):
 //
 //   - sim no-records: a Run on a warm Sim allocates nothing per instruction,
 //     only the chunk stream header (1 alloc, 64 B).
@@ -66,33 +40,27 @@ type ledgerRow struct {
 //   - core profile: acrobat's 4x10k plan streams its windows through chain
 //     extraction chunk by chunk, about 1.8 MB/op; re-materializing the
 //     windows would add 4.2 MB.
-//   - fleet ingest-request: the request decodes into a sketch the fleet
-//     service recycles, about 15 KB/op; a fresh 32 KB sketch per request
-//     cost 87 KB/op.
-//   - scan index: one allocation of 10 bytes per image byte (a 20-byte slot
-//     per halfword), never a copy of the image: 7-9 allocs/op.
-var ledger = []ledgerRow{
-	// layer, case, benchmark, iterations, GOMAXPROCS, allocs/op, B/op, B per unit
-	{"sim", "no-records", critics.BenchmarkSimNoRecords, 1, 1, 8, 0, 0},
-	{"sim", "telemetry-off", critics.BenchmarkSimTelemetryOff, 20, 0, 0, 0, 0},
-	{"sim", "telemetry-on", critics.BenchmarkSimTelemetryOn, 20, 0, 0, 0, 0},
-	{"measure", "streamed", critics.BenchmarkMeasureStreaming, 100, 1, 40, 1_750_000, 0},
-	{"measure", "sweep-serial", critics.BenchmarkSweepSerial, 3, 0, 0, 0, 0},
-	{"measure", "sweep-batched", critics.BenchmarkSweepBatched, 3, 0, 1_700, 0, 0},
-	{"memo", "measure-hit", critics.BenchmarkMeasureVariantHit, 1000, 0, 9, 0, 0},
-	{"memo", "optimize-job", critics.BenchmarkOptimizeWarm, 1000, 0, 38, 100_000, 0},
-	{"core", "profile", critics.BenchmarkProfiler, 5, 0, 0, 2_500_000, 0},
-	{"frontend", "lru", critics.BenchmarkFrontendPolicyLRU, 10, 0, 0, 0, 0},
-	{"frontend", "srrip", critics.BenchmarkFrontendPolicySRRIP, 10, 0, 0, 0, 0},
-	{"frontend", "trrip", critics.BenchmarkFrontendPolicyTRRIP, 10, 0, 0, 0, 0},
-	{"frontend", "layout-c3", critics.BenchmarkLayoutC3, 100, 0, 0, 0, 0},
-	{"fleet", "merge", critics.BenchmarkSketchMerge, 1000, 0, 0, 0, 0},
-	{"fleet", "decode", critics.BenchmarkSketchDecode, 10000, 0, 0, 0, 0},
-	{"fleet", "ingest-request", BenchmarkProfileIngest, 2000, 0, 0, 32_768, 0},
-	{"scan", "index", BenchmarkBuildIndex, 1, 0, 16, 0, 12},
-	{"encoding", "A32", critics.BenchmarkEncodeA32, 1_000_000, 0, 0, 0, 0},
-	{"encoding", "T16", critics.BenchmarkEncodeT16, 1_000_000, 0, 0, 0, 0},
-	{"trace", "generate", critics.BenchmarkTraceGeneration, 100, 0, 0, 0, 0},
+var rows = []ledger.Row{
+	{Layer: "sim", Case: "no-records", Bench: critics.BenchmarkSimNoRecords, N: 1, Procs: 1, Allocs: 8},
+	{Layer: "sim", Case: "telemetry-off", Bench: critics.BenchmarkSimTelemetryOff, N: 20},
+	{Layer: "sim", Case: "telemetry-on", Bench: critics.BenchmarkSimTelemetryOn, N: 20},
+	{Layer: "measure", Case: "streamed", Bench: critics.BenchmarkMeasureStreaming, N: 100, Procs: 1, Allocs: 40, Bytes: 1_750_000},
+	{Layer: "measure", Case: "sweep-serial", Bench: critics.BenchmarkSweepSerial, N: 3},
+	{Layer: "measure", Case: "sweep-batched", Bench: critics.BenchmarkSweepBatched, N: 3, Allocs: 1_700},
+	{Layer: "memo", Case: "measure-hit", Bench: critics.BenchmarkMeasureVariantHit, N: 1000, Allocs: 9},
+	{Layer: "memo", Case: "optimize-job", Bench: critics.BenchmarkOptimizeWarm, N: 1000, Allocs: 38, Bytes: 100_000},
+	{Layer: "core", Case: "profile", Bench: critics.BenchmarkProfiler, N: 5, Bytes: 2_500_000},
+	{Layer: "frontend", Case: "lru", Bench: critics.BenchmarkFrontendPolicyLRU, N: 10},
+	{Layer: "frontend", Case: "srrip", Bench: critics.BenchmarkFrontendPolicySRRIP, N: 10},
+	{Layer: "frontend", Case: "trrip", Bench: critics.BenchmarkFrontendPolicyTRRIP, N: 10},
+	{Layer: "frontend", Case: "layout-c3", Bench: critics.BenchmarkLayoutC3, N: 100},
+	{Layer: "fleet", Case: "merge", Bench: critics.BenchmarkSketchMerge, N: 1000},
+	{Layer: "fleet", Case: "decode", Bench: critics.BenchmarkSketchDecode, N: 10000},
+	ledger.Ingest,
+	ledger.Index,
+	{Layer: "encoding", Case: "A32", Bench: critics.BenchmarkEncodeA32, N: 1_000_000},
+	{Layer: "encoding", Case: "T16", Bench: critics.BenchmarkEncodeT16, N: 1_000_000},
+	{Layer: "trace", Case: "generate", Bench: critics.BenchmarkTraceGeneration, N: 100},
 }
 
 // frontendPolicyOverheadCeiling bounds how much slower a non-lru policy may
@@ -104,58 +72,41 @@ const frontendPolicyOverheadCeiling = 1.5
 
 // ledgerFile is the schema of BENCH.json.
 type ledgerFile struct {
-	GoArch    string        `json:"goarch"`
-	NumCPU    int           `json:"num_cpu"`
-	GoVersion string        `json:"go_version"`
-	Rows      []ledgerEntry `json:"rows"`
+	GoArch    string         `json:"goarch"`
+	NumCPU    int            `json:"num_cpu"`
+	GoVersion string         `json:"go_version"`
+	Rows      []ledger.Entry `json:"rows"`
 }
 
-// ledgerEntry is one row's result; units_op is what the benchmark passed to
-// b.SetBytes (simulated or generated instructions for the sim and trace
-// rows, bytes for decode and index), 0 when it passed nothing.
-type ledgerEntry struct {
-	Layer      string `json:"layer"`
-	Case       string `json:"case"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	N          int    `json:"n"`
-	NsOp       int64  `json:"ns_op"`
-	AllocsOp   int64  `json:"allocs_op"`
-	BytesOp    int64  `json:"bytes_op"`
-	UnitsOp    int64  `json:"units_op"`
-}
-
-// TestLedger runs every ledger row once, gates its allocation ceilings and
-// logs its ns/op without gating it: allocation counts repeat, wall time is
-// noisy. With BENCH_OUT set it also checks the front-end policies' overhead,
-// which is wall time, and writes the ledger to the file BENCH_OUT names.
-func TestLedger(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector changes allocation counts")
+// TestAllocCeilings runs every ledger row that has a ceiling and gates it.
+// internal/server and internal/scan also gate ledger.Ingest and ledger.Index
+// in their own tests, so each package's go test catches a regression of its
+// row.
+func TestAllocCeilings(t *testing.T) {
+	for _, r := range rows {
+		if r.Gated() {
+			ledger.Run(t, r)
+		}
 	}
+}
+
+// TestLedger runs the ledger rows that have no ceiling, which
+// TestAllocCeilings leaves out, and logs their ns/op. With BENCH_OUT set it
+// runs every row, gating the ceilings, checks the front-end policies'
+// overhead, which is wall time, and writes the ledger to the file BENCH_OUT
+// names.
+func TestLedger(t *testing.T) {
+	out := os.Getenv("BENCH_OUT")
 	led := ledgerFile{GoArch: runtime.GOARCH, NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
 	ns := map[string]int64{}
-	benchtime := flag.Lookup("test.benchtime").Value
-	defer benchtime.Set(benchtime.String())
-	for _, r := range ledger {
-		if err := benchtime.Set(fmt.Sprintf("%dx", r.n)); err != nil {
-			t.Fatal(err)
+	for _, r := range rows {
+		if out == "" && r.Gated() {
+			continue
 		}
-		prev := runtime.GOMAXPROCS(r.procs)
-		res := testing.Benchmark(r.bench)
-		procs := runtime.GOMAXPROCS(prev) // the value the row ran at
-		row := ledgerEntry{r.layer, r.name, procs, res.N, res.NsPerOp(), res.AllocsPerOp(), res.AllocedBytesPerOp(), res.Bytes}
-		t.Logf("%s %s: %d ns/op (not gated), %d allocs/op, %d B/op, %d units/op, GOMAXPROCS %d",
-			r.layer, r.name, row.NsOp, row.AllocsOp, row.BytesOp, row.UnitsOp, procs)
-		if res.N != r.n || (r.allocs > 0 && row.AllocsOp > r.allocs) || (r.bytes > 0 && row.BytesOp > r.bytes) ||
-			(r.unitBytes > 0 && (row.UnitsOp == 0 || row.BytesOp > r.unitBytes*row.UnitsOp)) {
-			t.Errorf("%s %s: %d of %d iterations, %d allocs/op, %d B/op, %d units/op; ceilings (0 = not gated) %d allocs/op, %d B/op, %d B per unit",
-				r.layer, r.name, res.N, r.n, row.AllocsOp, row.BytesOp, row.UnitsOp, r.allocs, r.bytes, r.unitBytes)
-		}
-		ns[r.layer+"/"+r.name] = row.NsOp
-		led.Rows = append(led.Rows, row)
+		e := ledger.Run(t, r)
+		ns[r.Layer+"/"+r.Case] = e.NsOp
+		led.Rows = append(led.Rows, e)
 	}
-
-	out := os.Getenv("BENCH_OUT")
 	if out == "" {
 		return
 	}
@@ -170,107 +121,5 @@ func TestLedger(t *testing.T) {
 	}
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// BenchmarkProfileIngest serves POST /v1/profiles in process, round-robin
-// over 8 device sketches, and stops the timer once every post is merged: the
-// per-request cost of fleet ingest from body to consensus, without sockets.
-// It posts only while fewer than 8 posts wait for the merger, the sketches
-// the warm-up round put in circulation. An unpaced loop outruns the merger
-// whenever the scheduler sets the merger aside, and then a request decodes
-// into a fresh sketch or is refused by the full queue. Pacing keeps every
-// request on the free list, so the allocations per request do not depend on
-// scheduling. TestLedger gates its B/op; a per-request sketch allocation
-// would add 32 KB.
-func BenchmarkProfileIngest(b *testing.B) {
-	app := workload.MobileApps()[0]
-	bodies := make([][]byte, 8)
-	for i := range bodies {
-		bodies[i] = fleet.BuildDeviceSketch(app, deviceName(i), 1).Encode()
-	}
-	reg := telemetry.NewRegistry()
-	s := server.New(server.Config{QueueSize: 8, Workers: 2, Registry: reg})
-	defer s.Shutdown(context.Background())
-	h := s.Handler()
-	// One warm-up round archives every sketch and sizes the consensus.
-	for _, body := range bodies {
-		if code := postProfile(h, body); code != http.StatusAccepted {
-			b.Fatalf("warm-up post answered %d", code)
-		}
-	}
-	waitMerged(b, s, app.Params.Name, uint64(len(bodies)))
-	// The merger counts a sketch after it is back on the free list.
-	merged := reg.Counter("critics_fleet_sketches_total", "", telemetry.L("app", app.Params.Name))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// len(bodies)+i posted: wait for i+1 merged.
-		for deadline := time.Now().Add(10 * time.Second); merged.Value() <= int64(i); runtime.Gosched() {
-			if time.Now().After(deadline) {
-				b.Fatalf("merger stalled at %d sketches", merged.Value())
-			}
-		}
-		if code := postProfile(h, bodies[i%len(bodies)]); code != http.StatusAccepted {
-			b.Fatalf("post answered %d", code)
-		}
-	}
-	waitMerged(b, s, app.Params.Name, uint64(len(bodies)+b.N))
-	b.StopTimer()
-}
-
-func deviceName(i int) string { return string([]byte{'d', byte('0' + i)}) }
-
-// postProfile serves one POST /v1/profiles in process and returns its
-// status code.
-func postProfile(h http.Handler, body []byte) int {
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/profiles", bytes.NewReader(body)))
-	return rec.Code
-}
-
-// waitMerged polls GET /v1/fleet in process until the app reports n merged
-// sketches.
-func waitMerged(tb testing.TB, s *server.Server, app string, n uint64) {
-	tb.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/fleet", nil))
-		var fl server.FleetResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &fl); err != nil {
-			tb.Fatalf("GET /v1/fleet: %v", err)
-		}
-		for _, as := range fl.Apps {
-			if as.App == app && as.Sketches >= n {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			tb.Fatalf("timed out waiting for %d merged sketches of %s", n, app)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-// BenchmarkBuildIndex pins the bounded-memory ingest property over a
-// multi-MB image: one index allocation of 10 bytes per image byte, never a
-// spare copy of the image. TestLedger asserts allocs/op and bytes-allocated
-// ceilings over this benchmark.
-func BenchmarkBuildIndex(b *testing.B) {
-	img, _, err := critics.ScanInputs("acrobat", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for len(img) < 4<<20 {
-		img = append(img, img...)
-	}
-	b.SetBytes(int64(len(img)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := scan.BuildIndex(bytes.NewReader(img), int64(len(img))); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

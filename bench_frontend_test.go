@@ -3,14 +3,16 @@ package critics
 import (
 	"testing"
 
+	"critics/internal/cache"
 	"critics/internal/exp"
 	"critics/internal/layout"
 )
 
 // benchFrontendPolicy measures one quick-scale simulation of the CritIC
 // variant under one L1I replacement policy — the per-cell cost of the
-// fig-frontend grid. Context setup (program, profile, variant compilation)
-// is excluded from the timer so the number is simulation throughput, not
+// fig-frontend grid. Context setup (program, profile, variant compilation,
+// and for trrip the temperature hints the memoized build would attach) is
+// excluded from the timer so the number is simulation throughput, not
 // pipeline cost.
 func benchFrontendPolicy(b *testing.B, policy string) {
 	app := acrobatProgram()
@@ -20,8 +22,12 @@ func benchFrontendPolicy(b *testing.B, policy string) {
 		b.StopTimer()
 		ctx := exp.QuickContext()
 		kind := exp.FrontendKind(exp.VarCritIC, "c3")
-		cfg := ctx.FrontendConfig(*app, kind, policy)
+		cfg := exp.FrontendConfig(policy)
 		p, _ := ctx.Variant(*app, kind)
+		if policy == cache.PolicyTRRIP {
+			temps := layout.Temperatures(p, ctx.Profile(*app, false, 1))
+			cfg.Hier.Temps = &temps
+		}
 		b.StartTimer()
 		ctx.Measure(p, cfg, false)
 	}

@@ -119,7 +119,7 @@ func (x *cli) artifacts(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(x.stdout, "%s  %d bytes  refs=%d\n", info.Digest, info.Size, info.Refs)
+		fmt.Fprintf(x.stdout, "%s  %d bytes\n", info.Digest, info.Size)
 	case "gc":
 		res, err := x.c.ArtifactGC(ctx)
 		if err != nil {
@@ -141,7 +141,7 @@ func writeArtifactList(w io.Writer, infos []artifact.Info) {
 	}
 	var total int64
 	for _, info := range infos {
-		fmt.Fprintf(w, "%s  %10d bytes  refs=%d\n", info.Digest, info.Size, info.Refs)
+		fmt.Fprintf(w, "%s  %10d bytes\n", info.Digest, info.Size)
 		total += info.Size
 	}
 	fmt.Fprintf(w, "%d artifacts, %d bytes\n", len(infos), total)

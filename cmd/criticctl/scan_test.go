@@ -49,7 +49,7 @@ func TestArtifactClientAgainstStub(t *testing.T) {
 	}
 
 	info, err := c.ArtifactStat(ctx, digest)
-	if err != nil || info.Refs != 1 {
+	if err != nil || info.Size != 4096 {
 		t.Fatalf("ArtifactStat = (%+v, %v)", info, err)
 	}
 	if _, err := c.ArtifactStat(ctx, "sha256:"+strings.Repeat("f", 64)); err == nil {

@@ -37,7 +37,6 @@ import (
 	"critics/internal/fleet"
 	"critics/internal/layout"
 	"critics/internal/obs"
-	"critics/internal/sched"
 	"critics/internal/sketch"
 	"critics/internal/telemetry"
 	"critics/internal/trace"
@@ -168,15 +167,6 @@ func NewSharedCaches() *SharedCaches {
 // Stats reports the bundle's hit/miss counters.
 func (s *SharedCaches) Stats() exp.CacheStats { return s.caches.Stats() }
 
-// EnableMeasurementSpill routes measurement-cache values the retention
-// budget would drop through st — typically an artifact-store adapter
-// (artifact.NewMemoSpill) — so a long-lived service degrades to
-// decode-from-store instead of re-simulation. Call before the bundle sees
-// traffic.
-func (s *SharedCaches) EnableMeasurementSpill(st sched.SpillStore) {
-	s.caches.EnableMeasurementSpill(st)
-}
-
 // WithSharedCaches makes the call reuse (and populate) the shared bundle
 // instead of a private per-call cache. Results are unchanged — caching only
 // affects wall-clock.
@@ -266,9 +256,10 @@ func optimizeApp(ctx context.Context, name string, collect bool, opts ...Option)
 
 	// The two binaries have distinct traces, so the sweep measures them as
 	// two concurrent groups.
+	cfg := exp.FrontendConfig(ec.L1IPolicy)
 	ms = ec.MeasureSweep(app, []exp.MeasureUnit{
-		{Kind: baseKind, Cfg: ec.FrontendConfig(app, baseKind, ec.L1IPolicy)},
-		{Kind: critKind, Cfg: ec.FrontendConfig(app, critKind, ec.L1IPolicy)},
+		{Kind: baseKind, Cfg: cfg},
+		{Kind: critKind, Cfg: cfg},
 	}, collect)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err

@@ -126,10 +126,10 @@ func TestGoldenDeviceSketches(t *testing.T) {
 // TestGoldenMemoKeys pins the memo keys a cached optimize job looks up
 // (program, profile, CritIC variant, and the baseline and CritIC
 // measurements on the Table I machine at quick scale) for every catalog app,
-// as hex. Spilled memo entries in an artifact directory and build span ids
-// are addressed by these keys, so their bytes must not drift. The parts
-// mirror exp.Context's Program, Profile, Variant and MeasureBatch; a cold
-// acrobat run checks that its build spans carry the same keys.
+// as hex. Build span ids are addressed by these keys, so their bytes must
+// not drift. The parts mirror exp.Context's Program, Profile, Variant and
+// MeasureBatch; a cold acrobat run checks that its build spans carry the
+// same keys.
 func TestGoldenMemoKeys(t *testing.T) {
 	c := NewSession(WithQuickScale()).Context()
 	cfg := cpu.DefaultConfig()

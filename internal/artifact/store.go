@@ -1,8 +1,7 @@
 // Package artifact is the content-addressed artifact store behind criticd's
 // binary-scanning service and the fleet's blob plumbing: every byte payload
-// (uploaded binary images, scan traces, spilled memo values, archived profile
-// sketches) is addressed by the SHA-256 digest of its content and stored
-// exactly once.
+// (uploaded binary images, scan traces, archived profile sketches) is
+// addressed by the SHA-256 digest of its content and stored exactly once.
 //
 // Properties:
 //
@@ -22,11 +21,7 @@
 //     under Dir; a store reopened on the same directory re-adopts every blob
 //     (criticd -artifact-dir survives a restart, a recycled worker starts
 //     warm).
-//   - Ref-counted GC: consumers pin blobs with AddRef/Release; GC removes
-//     only unreferenced ones.
-//
-// The store also implements sched.SpillStore (spill.go), so memo caches can
-// push over-budget values into the same store instead of dropping them.
+//   - GC: removes every committed blob; uploads in progress are untouched.
 package artifact
 
 import (
@@ -115,13 +110,6 @@ type Config struct {
 type Info struct {
 	Digest string `json:"digest"`
 	Size   int64  `json:"size"`
-	Refs   int    `json:"refs"`
-}
-
-// blob is one committed artifact, stored at s.path(digest).
-type blob struct {
-	size int64
-	refs int
 }
 
 // upload is one in-progress chunked write: a part file plus the running
@@ -140,7 +128,7 @@ type Store struct {
 	cfg Config
 
 	mu      sync.Mutex
-	blobs   map[string]*blob
+	blobs   map[string]int64 // committed blob sizes; each blob is at s.path(digest)
 	uploads map[string]*upload
 
 	// metrics (nil without a registry)
@@ -152,8 +140,8 @@ type Store struct {
 }
 
 // Open creates (or adopts) a store rooted at cfg.Dir: the directory is
-// created if needed, committed blobs already in it join the catalog with
-// zero refs, and stale .part files from a crashed upload are removed.
+// created if needed, committed blobs already in it join the catalog, and
+// stale .part files from a crashed upload are removed.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("artifact: Config.Dir is required")
@@ -164,7 +152,7 @@ func Open(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	s := &Store{cfg: cfg, blobs: map[string]*blob{}, uploads: map[string]*upload{}}
+	s := &Store{cfg: cfg, blobs: map[string]int64{}, uploads: map[string]*upload{}}
 	if reg := cfg.Registry; reg != nil {
 		s.blobsG = reg.Gauge("critics_artifact_blobs", "Committed blobs in the artifact store.")
 		s.diskG = reg.Gauge("critics_artifact_bytes", "Committed artifact bytes by tier.", telemetry.L("tier", "disk"))
@@ -197,7 +185,7 @@ func Open(cfg Config) (*Store, error) {
 		if err != nil {
 			continue
 		}
-		s.blobs[d] = &blob{size: fi.Size()}
+		s.blobs[d] = fi.Size()
 	}
 	s.updateGauges()
 	return s, nil
@@ -219,8 +207,8 @@ func (s *Store) updateGauges() {
 		return
 	}
 	var disk int64
-	for _, b := range s.blobs {
-		disk += b.size
+	for _, size := range s.blobs {
+		disk += size
 	}
 	s.blobsG.Set(int64(len(s.blobs)))
 	s.diskG.Set(disk)
@@ -265,12 +253,12 @@ func (s *Store) PutChunk(digest string, offset int64, chunk io.Reader, final boo
 		return 0, false, err
 	}
 	s.mu.Lock()
-	if b, ok := s.blobs[digest]; ok {
+	if size, ok := s.blobs[digest]; ok {
 		s.mu.Unlock()
 		if s.uploads_ != nil {
 			s.uploads_("duplicate").Inc()
 		}
-		return b.size, true, nil
+		return size, true, nil
 	}
 	up, ok := s.uploads[digest]
 	if !ok {
@@ -289,8 +277,8 @@ func (s *Store) PutChunk(digest string, offset int64, chunk io.Reader, final boo
 	if up.f == nil {
 		// The upload was aborted or finalized by a concurrent chunk while we
 		// waited; re-resolve through the catalog.
-		if b, ok := s.get(digest); ok {
-			return b.size, true, nil
+		if size, ok := s.get(digest); ok {
+			return size, true, nil
 		}
 		return 0, false, fmt.Errorf("artifact: upload of %s was aborted; restart from offset 0", digest)
 	}
@@ -356,7 +344,7 @@ func (s *Store) commitLocked(digest string, up *upload) error {
 		_ = os.Remove(up.path)
 		return fmt.Errorf("artifact: %w", err)
 	}
-	s.blobs[digest] = &blob{size: size}
+	s.blobs[digest] = size
 	if s.uploads_ != nil {
 		s.uploads_("committed").Inc()
 	}
@@ -365,7 +353,7 @@ func (s *Store) commitLocked(digest string, up *upload) error {
 }
 
 // PutBytes stores an in-memory payload and returns its digest — the
-// convenience path for small blobs (spilled memo values, archived sketches).
+// convenience path for small blobs (archived sketches).
 func (s *Store) PutBytes(data []byte) (string, error) {
 	d := Sum(data)
 	if _, ok := s.get(d); ok {
@@ -375,11 +363,11 @@ func (s *Store) PutBytes(data []byte) (string, error) {
 	return d, err
 }
 
-func (s *Store) get(digest string) (*blob, bool) {
+func (s *Store) get(digest string) (size int64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.blobs[digest]
-	return b, ok
+	size, ok = s.blobs[digest]
+	return size, ok
 }
 
 // Has reports whether the blob is committed.
@@ -421,7 +409,7 @@ func (v *verifyReader) Close() error { return v.r.Close() }
 // Open returns a streaming, integrity-verified reader over a committed blob
 // plus its size. The caller owns closing it.
 func (s *Store) Open(digest string) (io.ReadCloser, int64, error) {
-	b, ok := s.get(digest)
+	size, ok := s.get(digest)
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, digest)
 	}
@@ -429,7 +417,7 @@ func (s *Store) Open(digest string) (io.ReadCloser, int64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("artifact: %w", err)
 	}
-	return &verifyReader{r: f, h: sha256.New(), digest: digest, store: s}, b.size, nil
+	return &verifyReader{r: f, h: sha256.New(), digest: digest, store: s}, size, nil
 }
 
 // Get reads a committed blob whole (verified).
@@ -447,39 +435,16 @@ func (s *Store) Get(digest string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// AddRef pins a committed blob against GC.
-func (s *Store) AddRef(digest string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.blobs[digest]
-	if ok {
-		b.refs++
-	}
-	return ok
-}
-
-// Release undoes one AddRef.
-func (s *Store) Release(digest string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.blobs[digest]; ok && b.refs > 0 {
-		b.refs--
-	}
-}
-
-// GC removes every committed blob with zero references and reports how many
-// blobs and bytes it freed. In-progress uploads are untouched.
+// GC removes every committed blob and reports how many blobs and bytes it
+// freed. In-progress uploads are untouched.
 func (s *Store) GC() (removed int, freed int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for d, b := range s.blobs {
-		if b.refs > 0 {
-			continue
-		}
+	for d, size := range s.blobs {
 		_ = os.Remove(s.path(d))
 		delete(s.blobs, d)
 		removed++
-		freed += b.size
+		freed += size
 	}
 	if s.gcTotal != nil {
 		s.gcTotal.Add(int64(removed))
@@ -492,25 +457,21 @@ func (s *Store) GC() (removed int, freed int64) {
 func (s *Store) Stat(digest string) (Info, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.blobs[digest]
+	size, ok := s.blobs[digest]
 	if !ok {
 		return Info{}, false
 	}
-	return infoOf(digest, b), true
+	return Info{Digest: digest, Size: size}, true
 }
 
 // List returns the committed catalog sorted by digest.
 func (s *Store) List() []Info {
 	s.mu.Lock()
 	out := make([]Info, 0, len(s.blobs))
-	for d, b := range s.blobs {
-		out = append(out, infoOf(d, b))
+	for d, size := range s.blobs {
+		out = append(out, Info{Digest: d, Size: size})
 	}
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Digest < out[j].Digest })
 	return out
-}
-
-func infoOf(d string, b *blob) Info {
-	return Info{Digest: d, Size: b.size, Refs: b.refs}
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"critics/internal/sched"
 	"critics/internal/telemetry"
 )
 
@@ -224,23 +223,15 @@ func TestIntegrityVerificationOnRead(t *testing.T) {
 
 func TestRefCountedGC(t *testing.T) {
 	s := open(t, Config{})
-	dPinned, _ := s.PutBytes([]byte("pinned"))
-	dLoose, _ := s.PutBytes([]byte("collectable"))
-	if !s.AddRef(dPinned) {
-		t.Fatalf("AddRef(%s) = false", dPinned)
-	}
+	d1, _ := s.PutBytes([]byte("first"))
+	d2, _ := s.PutBytes([]byte("collectable"))
 
 	removed, freed := s.GC()
-	if removed != 1 || freed != int64(len("collectable")) {
-		t.Fatalf("GC = (%d, %d), want (1, %d)", removed, freed, len("collectable"))
+	if removed != 2 || freed != int64(len("first")+len("collectable")) {
+		t.Fatalf("GC = (%d, %d), want (2, %d)", removed, freed, len("first")+len("collectable"))
 	}
-	if s.Has(dLoose) || !s.Has(dPinned) {
-		t.Fatalf("GC removed the wrong blob")
-	}
-
-	s.Release(dPinned)
-	if removed, _ := s.GC(); removed != 1 {
-		t.Fatalf("GC after Release removed %d blobs, want 1", removed)
+	if s.Has(d1) || s.Has(d2) {
+		t.Fatalf("GC left a committed blob")
 	}
 }
 
@@ -262,38 +253,6 @@ func TestMetricsRegistered(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestMemoSpill(t *testing.T) {
-	s := open(t, Config{})
-	sp := NewMemoSpill(s)
-
-	// Budget of 1 byte: the first value fills it, the second spills.
-	m := sched.NewMemo[string](1)
-	m.EnableSpill(sp,
-		func(v string) ([]byte, error) { return []byte(v), nil },
-		func(b []byte) (string, error) { return string(b), nil })
-
-	k1, k2 := sched.KeyOf("a"), sched.KeyOf("b")
-	cost := func(v string) int64 { return int64(len(v)) }
-	m.GetChecked(k1, func() string { return "1" }, cost, nil)
-	m.GetChecked(k2, func() string { return "over-budget value" }, cost, nil)
-
-	if st := m.Stats(); st.Spilled != 1 {
-		t.Fatalf("Spilled = %d, want 1: %+v", st.Spilled, st)
-	}
-	// The spilled value is served back without rebuilding.
-	v, _ := m.GetChecked(k2, func() string { t.Fatal("rebuilt a spilled value"); return "" }, cost, nil)
-	if v != "over-budget value" {
-		t.Fatalf("spill round trip returned %q", v)
-	}
-	if st := m.Stats(); st.SpillHits != 1 {
-		t.Fatalf("SpillHits = %d, want 1: %+v", st.SpillHits, st)
-	}
-	// Spilled blobs are pinned against GC while indexed.
-	if removed, _ := s.GC(); removed != 0 {
-		t.Fatalf("GC removed %d pinned spill blobs", removed)
 	}
 }
 

@@ -310,11 +310,12 @@ type HierConfig struct {
 	EFetchDepth int // 0 disables the instruction prefetcher
 
 	// Temps carries profile-derived code-temperature hints to
-	// temperature-aware replacement policies (trrip). The zero value hints
-	// nothing, which degrades trrip to srrip. A fixed-capacity value type:
-	// it participates in measurement memo keys and the distributed wire
-	// form like every other field here.
-	Temps TempHints
+	// temperature-aware replacement policies (trrip); nil hints nothing,
+	// which degrades trrip to srrip. Like cpu.Config.Metrics it is attached
+	// after the memo key is computed: the measurement build derives the
+	// hints from the compiled binary, sched.KeyOf rejects a non-nil pointer,
+	// and the wire never carries them.
+	Temps *TempHints `json:"-"`
 
 	DRAM dram.Config
 }
@@ -336,7 +337,7 @@ func (cfg HierConfig) Validate() error {
 	if cfg.EFetchDepth < 0 {
 		return fmt.Errorf("cache: negative EFetch depth %d", cfg.EFetchDepth)
 	}
-	return cfg.Temps.validate()
+	return nil
 }
 
 // DefaultHierConfig matches Table I.
@@ -357,8 +358,6 @@ type Hierarchy struct {
 	DRAM         *dram.Controller
 	CLPT         *CLPT
 	EFetch       *EFetch
-
-	temps TempHints // hierarchy-owned copy the policies point into
 }
 
 // NewHierarchy builds the hierarchy from cfg. Like NewCache, a config that
@@ -369,10 +368,10 @@ func NewHierarchy(cfg HierConfig) *Hierarchy {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	h := &Hierarchy{temps: cfg.Temps, DRAM: dram.New(cfg.DRAM)}
-	h.L1I = newCacheHints(cfg.L1I, &h.temps)
-	h.L1D = newCacheHints(cfg.L1D, &h.temps)
-	h.L2 = newCacheHints(cfg.L2, &h.temps)
+	h := &Hierarchy{DRAM: dram.New(cfg.DRAM)}
+	h.L1I = newCacheHints(cfg.L1I, cfg.Temps)
+	h.L1D = newCacheHints(cfg.L1D, cfg.Temps)
+	h.L2 = newCacheHints(cfg.L2, cfg.Temps)
 	if cfg.CLPTEntries > 0 {
 		h.CLPT = NewCLPT(cfg.CLPTEntries)
 	}

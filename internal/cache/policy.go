@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 )
@@ -190,54 +189,46 @@ const (
 	TempHot     = 3 // top of the profile's dynamic-instruction mass: keep
 )
 
-// MaxTempRanges bounds the hint table. One range covers one function, and
-// the largest catalog workload has ~220 functions, so 256 never truncates;
-// layout.Temperatures additionally omits TempDefault ranges.
-const MaxTempRanges = 256
-
 // TempRange marks [Start, End) of the laid-out code image with a
 // temperature.
 type TempRange struct {
-	Start uint32 `json:"start"`
-	End   uint32 `json:"end"`
-	Temp  uint8  `json:"temp"`
+	Start uint32
+	End   uint32
+	Temp  uint8
 }
 
-// TempHints is a fixed-capacity, address-sorted temperature map derived from
-// a CritIC profile over a laid-out program (layout.Temperatures). It is a
-// plain value type on purpose: it rides inside cache.HierConfig through
-// sched.KeyOf (arrays of scalar structs are keyable; slices are not) and
-// through the distributed wire form (integer-exact custom JSON below).
+// TempHints is an address-sorted temperature map derived from a CritIC
+// profile over a laid-out program (layout.Temperatures). It describes the
+// compiled binary, not the machine, so it reaches a hierarchy only through
+// HierConfig.Temps, which no memo key or wire form carries.
 type TempHints struct {
-	N      uint16
-	Ranges [MaxTempRanges]TempRange
+	Ranges []TempRange
 }
 
 // Add appends a range. Ranges must arrive in ascending, non-overlapping
-// address order (Temp does a binary search); out-of-order or overflowing
+// address order (Temp does a binary search); empty and out-of-order
 // appends are refused.
 func (t *TempHints) Add(start, end uint32, temp uint8) bool {
-	if start >= end || int(t.N) >= MaxTempRanges {
+	if start >= end {
 		return false
 	}
-	if t.N > 0 && start < t.Ranges[t.N-1].End {
+	if n := len(t.Ranges); n > 0 && start < t.Ranges[n-1].End {
 		return false
 	}
-	t.Ranges[t.N] = TempRange{Start: start, End: end, Temp: temp}
-	t.N++
+	t.Ranges = append(t.Ranges, TempRange{Start: start, End: end, Temp: temp})
 	return true
 }
 
-// Len returns the number of populated ranges.
-func (t *TempHints) Len() int { return int(t.N) }
+// Len returns the number of ranges.
+func (t *TempHints) Len() int { return len(t.Ranges) }
 
 // Temp returns the temperature of addr (TempDefault outside every range).
 func (t *TempHints) Temp(addr uint32) uint8 {
-	if t == nil || t.N == 0 {
+	if t == nil {
 		return TempDefault
 	}
 	// Binary search for the last range starting at or before addr.
-	lo, hi := 0, int(t.N)
+	lo, hi := 0, len(t.Ranges)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if t.Ranges[mid].Start <= addr {
@@ -253,46 +244,4 @@ func (t *TempHints) Temp(addr uint32) uint8 {
 		return r.Temp
 	}
 	return TempDefault
-}
-
-// validate checks the invariants Temp's binary search relies on.
-func (t *TempHints) validate() error {
-	if int(t.N) > MaxTempRanges {
-		return fmt.Errorf("cache: temp hints claim %d ranges, capacity %d", t.N, MaxTempRanges)
-	}
-	for i := 0; i < int(t.N); i++ {
-		r := &t.Ranges[i]
-		if r.Start >= r.End {
-			return fmt.Errorf("cache: temp hint %d is empty [%#x,%#x)", i, r.Start, r.End)
-		}
-		if i > 0 && r.Start < t.Ranges[i-1].End {
-			return fmt.Errorf("cache: temp hint %d [%#x,%#x) overlaps or precedes its neighbor", i, r.Start, r.End)
-		}
-	}
-	return nil
-}
-
-// tempHintsJSON is the wire form: only the populated prefix travels, as
-// integers, so the JSON round trip is exact and requests stay small.
-type tempHintsJSON struct {
-	Ranges []TempRange `json:"ranges,omitempty"`
-}
-
-// MarshalJSON encodes only the populated ranges.
-func (t TempHints) MarshalJSON() ([]byte, error) {
-	return json.Marshal(tempHintsJSON{Ranges: t.Ranges[:t.N]})
-}
-
-// UnmarshalJSON decodes a populated-prefix encoding, rejecting overflow.
-func (t *TempHints) UnmarshalJSON(data []byte) error {
-	var in tempHintsJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	if len(in.Ranges) > MaxTempRanges {
-		return fmt.Errorf("cache: temp hints carry %d ranges, capacity %d", len(in.Ranges), MaxTempRanges)
-	}
-	*t = TempHints{N: uint16(len(in.Ranges))}
-	copy(t.Ranges[:], in.Ranges)
-	return t.validate()
 }

@@ -209,15 +209,15 @@ func extractChunk(chunk []trace.Dyn, base int, opt Options, out []Chain) []Chain
 	}
 
 	used := make([]bool, n)
+	var members []int32 // scratch: a kept chain is copied out below
 	for h := 0; h < n; h++ {
 		if used[h] || chunk[h].IsCDP {
 			continue
 		}
 		// Build the best chain headed at h.
-		var members []int32
 		var sum int64
 		cur := int32(h)
-		members = append(members, cur)
+		members = append(members[:0], cur)
 		sum += int64(fan[cur])
 		used[cur] = true
 		for opt.MaxLen == 0 || len(members) < opt.MaxLen {

@@ -61,7 +61,7 @@ func TestDistributedDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments; skipped in -short")
 	}
-	for _, id := range []string{"fig8", "fig10a"} {
+	for _, id := range []string{"fig8", "fig10a", "fig-frontend"} {
 		t.Run(id, func(t *testing.T) {
 			want, err := exp.Run(id, distCtx(1))
 			if err != nil {

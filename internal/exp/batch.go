@@ -4,7 +4,9 @@ import (
 	"context"
 	"slices"
 
+	"critics/internal/cache"
 	"critics/internal/cpu"
+	"critics/internal/layout"
 	"critics/internal/obs"
 	"critics/internal/sched"
 	"critics/internal/workload"
@@ -194,7 +196,9 @@ func (c *Context) measureGroups(a workload.App, plan *sweep, out []*Measurement,
 
 // measureGroup looks up the units of group g in order, building misses as
 // lanes of one measure call (see MeasureSweep), and writes their results to
-// s.out.
+// s.out. Its build is the one memoized measurement build: it runs locally,
+// as the fallback of a failed remote dispatch, and on every worker
+// (ExecuteMeasure), so each derives trrip's hints the same way.
 func (c *Context) measureGroup(a workload.App, s *sweep, g int) {
 	var label string
 	var built map[sched.Key]*Measurement // lanes measured ahead of their own lookup
@@ -237,11 +241,23 @@ func (c *Context) measureGroup(a workload.App, s *sweep, g int) {
 				}
 				lanes = append(lanes, j)
 			}
+			// trrip lanes simulate with temperature hints derived from
+			// this variant's laid-out code: a property of the binary the
+			// key already names, so they are attached here, after keying,
+			// and derived once for every trrip lane of the build.
+			p, _ := c.Variant(a, kind)
+			var temps *cache.TempHints
 			laneCfgs := make([]cpu.Config, len(lanes))
 			for k, j := range lanes {
 				laneCfgs[k] = s.units[j].Cfg
+				if laneCfgs[k].Hier.L1I.Policy == cache.PolicyTRRIP {
+					if temps == nil {
+						h := layout.Temperatures(p, c.Profile(a, false, 1))
+						temps = &h
+					}
+					laneCfgs[k].Hier.Temps = temps
+				}
 			}
-			p, _ := c.Variant(a, kind)
 			ms := c.measure(p, laneCfgs, s.collect)
 			built = make(map[sched.Key]*Measurement, len(lanes))
 			for k, j := range lanes {

@@ -442,7 +442,9 @@ var measureBufs = sync.Pool{New: func() any { return new(measureBuffers) }}
 // Measure simulates one program under cfg over the context's measurement
 // window (with warm-up), optionally collecting per-instruction records. It
 // is the uncached one-lane case of the measurement build; experiment runners
-// go through MeasureVariant/MeasureBatch, which memoize the result.
+// go through MeasureVariant/MeasureBatch, which memoize the result. It
+// simulates whatever temperature hints the caller attached to cfg; the
+// memoized build derives trrip's hints itself.
 func (c *Context) Measure(p *prog.Program, cfg cpu.Config, collect bool) *Measurement {
 	return c.measure(p, []cpu.Config{cfg}, collect)[0]
 }
@@ -550,7 +552,9 @@ func (c *Context) MeasureVariant(a workload.App, kind string, cfg cpu.Config, co
 // and the window/profiling scale), so a worker executing it computes exactly
 // the artifact the dispatching context would have built locally; every field
 // is integer- or bool-valued plain data, so the JSON round-trip is exact and
-// distribution preserves bit-identical results.
+// distribution preserves bit-identical results. The config carries no
+// temperature hints: for a trrip L1I the worker derives them from the app,
+// kind and profile plan, as the local build does.
 type MeasureRequest struct {
 	App     workload.Params `json:"app"`
 	Kind    string          `json:"kind"`
@@ -588,9 +592,9 @@ func ExecuteMeasure(ctx context.Context, req MeasureRequest, caches *Caches) (m 
 	if caches == nil {
 		caches = NewCaches()
 	}
-	// A malformed hierarchy (zero ways, unknown policy, bad temp hints) would
-	// otherwise panic deep in cache construction on the worker; requests come
-	// off the wire, so refuse them with an error instead.
+	// A malformed hierarchy (zero ways, unknown policy) would otherwise
+	// panic deep in cache construction on the worker; requests come off the
+	// wire, so refuse them with an error instead.
 	if verr := req.Config.Hier.Validate(); verr != nil {
 		return nil, fmt.Errorf("exp: measurement %s/%s config invalid: %w", req.App.Name, req.Kind, verr)
 	}

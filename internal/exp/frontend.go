@@ -78,19 +78,13 @@ func ValidateFrontend(policy, lay string) error {
 // FrontendConfig returns the Table I baseline with the named replacement
 // policy on the L1I. "" and "lru" return the unmodified default so the
 // measurement shares cache identity (and bit-identity) with every other
-// experiment's default-machine runs. trrip additionally threads temperature
-// hints derived from the app's profile over the variant's laid-out code —
-// the hints depend on the layout, which is why the variant kind is a
-// parameter.
-func (c *Context) FrontendConfig(a workload.App, kind, policy string) cpu.Config {
+// experiment's default-machine runs. A trrip config carries no temperature
+// hints: the memoized measurement build derives them from the variant it
+// simulates (see measureGroup).
+func FrontendConfig(policy string) cpu.Config {
 	cfg := cpu.DefaultConfig()
-	if policy == "" || policy == cache.PolicyLRU {
-		return cfg
-	}
-	cfg.Hier.L1I.Policy = policy
-	if policy == cache.PolicyTRRIP {
-		p, _ := c.Variant(a, kind)
-		cfg.Hier.Temps = layout.Temperatures(p, c.Profile(a, false, 1))
+	if policy != "" && policy != cache.PolicyLRU {
+		cfg.Hier.L1I.Policy = policy
 	}
 	return cfg
 }
@@ -136,7 +130,7 @@ func RunFigFrontend(c *Context) *FrontendResult {
 		for _, lay := range lays {
 			kind := FrontendKind(VarCritIC, lay)
 			for _, pol := range pols {
-				units = append(units, MeasureUnit{Kind: kind, Cfg: c.FrontendConfig(a, kind, pol)})
+				units = append(units, MeasureUnit{Kind: kind, Cfg: FrontendConfig(pol)})
 			}
 		}
 		ms := c.MeasureSweep(a, units, false)

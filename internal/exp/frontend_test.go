@@ -2,11 +2,13 @@ package exp
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"critics/internal/cache"
 	"critics/internal/cpu"
+	"critics/internal/layout"
 	"critics/internal/workload"
 )
 
@@ -54,24 +56,48 @@ func TestValidateFrontend(t *testing.T) {
 // lru cell of fig-frontend shares measurement cache identity with every
 // other experiment's default-machine runs.
 func TestFrontendConfigLRUIsDefault(t *testing.T) {
-	c := QuickContext()
-	a := workload.MobileApps()[0]
 	want := cpu.DefaultConfig()
 	for _, pol := range []string{"", cache.PolicyLRU} {
-		if got := c.FrontendConfig(a, VarCritIC, pol); got != want {
+		if got := FrontendConfig(pol); got != want {
 			t.Errorf("FrontendConfig(%q) != DefaultConfig()", pol)
 		}
 	}
-	s := c.FrontendConfig(a, VarCritIC, cache.PolicySRRIP)
-	if s.Hier.L1I.Policy != cache.PolicySRRIP || s.Hier.Temps.Len() != 0 {
-		t.Errorf("srrip config: policy %q, %d temp ranges", s.Hier.L1I.Policy, s.Hier.Temps.Len())
+	s := FrontendConfig(cache.PolicySRRIP)
+	if s.Hier.L1I.Policy != cache.PolicySRRIP || s.Hier.Temps != nil {
+		t.Errorf("srrip config: policy %q, temp hints %v", s.Hier.L1I.Policy, s.Hier.Temps)
 	}
-	tr := c.FrontendConfig(a, VarCritIC, cache.PolicyTRRIP)
+	tr := FrontendConfig(cache.PolicyTRRIP)
 	if tr.Hier.L1I.Policy != cache.PolicyTRRIP {
 		t.Errorf("trrip config policy = %q", tr.Hier.L1I.Policy)
 	}
-	if tr.Hier.Temps.Len() == 0 {
-		t.Error("trrip config carries no temperature hints")
+}
+
+// TestMeasureDerivesTRRIPHints pins where trrip's temperature hints come
+// from: the memoized build derives them from the variant it simulates and
+// the app's standard profile. A trrip MeasureVariant must equal the
+// uncached Measure of the same program with layout.Temperatures attached,
+// and must differ from that Measure without hints, so a build that forgets
+// them fails here.
+func TestMeasureDerivesTRRIPHints(t *testing.T) {
+	c := QuickContext()
+	cfg := FrontendConfig(cache.PolicyTRRIP)
+	for _, a := range workload.MobileApps()[:2] {
+		for _, kind := range []string{VarBase, VarCritIC + LayoutSuffix + "c3"} {
+			p, _ := c.Variant(a, kind)
+			hinted := cfg
+			temps := layout.Temperatures(p, c.Profile(a, false, 1))
+			hinted.Hier.Temps = &temps
+			want := c.Measure(p, hinted, false)
+			if got := c.MeasureVariant(a, kind, cfg, false); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: trrip MeasureVariant (%d cycles, %d L1I misses) != Measure with derived hints (%d cycles, %d L1I misses)",
+					a.Params.Name, kind, got.Res.Cycles, got.Res.ICacheMisses, want.Res.Cycles, want.Res.ICacheMisses)
+			}
+			bare := c.Measure(p, cfg, false)
+			if bare.Res.Cycles == want.Res.Cycles && bare.Res.ICacheMisses == want.Res.ICacheMisses {
+				t.Errorf("%s/%s: trrip measures the same with and without hints (%d cycles, %d L1I misses); the check cannot see a missing hint",
+					a.Params.Name, kind, want.Res.Cycles, want.Res.ICacheMisses)
+			}
+		}
 	}
 }
 

@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
+	"critics/internal/cache"
 	"critics/internal/cpu"
 	"critics/internal/sched"
 	"critics/internal/telemetry"
@@ -39,13 +42,18 @@ func TestKeyedTypesAreKeyable(t *testing.T) {
 	if err := sched.AssertKeyable(kcfg); err != nil {
 		t.Errorf("cpu.Config (telemetry stripped): %v", err)
 	}
-	// A temperature-hinted config (trrip cells of fig-frontend) must key too:
-	// TempHints is a fixed array precisely so this passes.
-	tcfg := cpu.DefaultConfig()
-	tcfg.Hier.L1I.Policy = "trrip"
-	tcfg.Hier.Temps.Add(0, 4096, 3)
-	if err := sched.AssertKeyable(tcfg); err != nil {
-		t.Errorf("cpu.Config with temp hints: %v", err)
+	// Temperature hints are attached by the measurement build after keying;
+	// a config carrying them must not key, or two builds of one binary
+	// would differ by the hints' address.
+	var temps cache.TempHints
+	temps.Add(0, 4096, cache.TempHot)
+	tcfg := FrontendConfig(cache.PolicyTRRIP)
+	tcfg.Hier.Temps = &temps
+	if err := sched.AssertKeyable(tcfg); err == nil {
+		t.Error("cpu.Config with temp hints passed AssertKeyable; the build attaches them after keying")
+	}
+	if b, err := json.Marshal(tcfg); err != nil || strings.Contains(string(b), "Ranges") {
+		t.Errorf("cpu.Config with temp hints marshals to %s (%v); the wire must not carry them", b, err)
 	}
 	if err := sched.AssertKeyable(c.ProfilePlan); err != nil {
 		t.Errorf("trace.SamplePlan: %v", err)

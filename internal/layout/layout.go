@@ -238,8 +238,7 @@ func ApplyKind(p *prog.Program, prof *core.Profile, kind string) (*prog.Program,
 // a warm set to 85%, cold for functions the profile never saw — and each
 // non-default bucket becomes one address range over the function's laid-out
 // extent (default-temperature functions are omitted; trrip treats unhinted
-// addresses as TempDefault anyway). Adjacent same-temperature ranges merge,
-// so the fixed hint capacity comfortably covers every catalog workload.
+// addresses as TempDefault anyway). Adjacent same-temperature ranges merge.
 func Temperatures(p *prog.Program, prof *core.Profile) cache.TempHints {
 	heat := FuncHeat(p, prof)
 	var total int64
@@ -286,9 +285,9 @@ func Temperatures(p *prog.Program, prof *core.Profile) cache.TempHints {
 			}
 			continue
 		}
-		if !hints.Add(s.start, s.end, s.temp) {
-			break // out of capacity: later (by address) functions stay unhinted
-		}
+		// Functions start line-aligned (prog.Program.LayoutOrder), so
+		// line-rounded extents never overlap and Add takes every range.
+		hints.Add(s.start, s.end, s.temp)
 	}
 	return hints
 }

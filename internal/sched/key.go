@@ -19,8 +19,8 @@ type Key [sha256.Size]byte
 // every configuration input is identical. A part renders exactly as fmt's
 // %#v prints it, byte for byte, but the rendering is done here, not by fmt:
 // each type's encoder is compiled once by reflection and cached, and a call
-// only walks the values. The bytes stay those of %#v because spilled memo
-// entries and build span ids are addressed by them.
+// only walks the values. The bytes stay those of %#v because build span ids
+// are addressed by them.
 //
 // The walk also enforces the keyable grammar on every call: booleans,
 // numbers, strings, nil pointers and nil interfaces, and arrays, structs
@@ -29,7 +29,9 @@ type Key [sha256.Size]byte
 // channel or func, a non-nil pointer (%#v renders its address, so the key
 // would differ from run to run), untyped nil, or a value whose type formats
 // itself through fmt.Formatter or fmt.GoStringer where fmt would call that
-// method.
+// method. The pointer rule means that what a measurement build attaches
+// to a config after keying (the telemetry sink, trrip's temperature hints)
+// can never enter a key.
 func KeyOf(parts ...any) Key {
 	w := keyWriters.Get().(*keyWriter)
 	w.b = w.b[:0]

@@ -57,8 +57,8 @@ type keyEdges struct {
 
 // TestKeyBytesMatchFmt is the differential test of KeyOf's encoder: for
 // every key part the experiment layer builds and for the grammar's edge
-// values, the rendered bytes equal fmt's %#v, so keys (and the spilled memo
-// entries and build span ids they address) are unchanged by not calling fmt.
+// values, the rendered bytes equal fmt's %#v, so keys (and the build span
+// ids they address) are unchanged by not calling fmt.
 func TestKeyBytesMatchFmt(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	var parts []any
@@ -70,9 +70,6 @@ func TestKeyBytesMatchFmt(t *testing.T) {
 	cfg := cpu.DefaultConfig()
 	trrip := cpu.DefaultConfig()
 	trrip.Hier.L1I.Policy = cache.PolicyTRRIP
-	trrip.Hier.Temps.Add(0, 4096, 3)
-	trrip.Hier.Temps.Add(4096, 1<<20, 0)
-	trrip.Hier.Temps.Add(math.MaxUint32-1, math.MaxUint32, math.MaxUint8)
 	parts = append(parts, cfg, trrip)
 	for _, c := range []*exp.Context{exp.NewContext(), exp.QuickContext()} {
 		parts = append(parts, c.ProfilePlan, c.Seed, c.WarmupArch, c.WarmArch, c.MeasureArch, c.HighFanout)

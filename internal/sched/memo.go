@@ -7,15 +7,11 @@ import (
 )
 
 // Stats are a memo cache's hit/miss counters. Skipped counts values that
-// were computed but not retained because the byte budget was exhausted;
-// Spilled counts the subset of those handed to the spill store instead of
-// being dropped, and SpillHits counts lookups served back out of it.
+// were computed but not retained because the byte budget was exhausted.
 type Stats struct {
-	Hits      int64
-	Misses    int64
-	Skipped   int64
-	Spilled   int64
-	SpillHits int64
+	Hits    int64
+	Misses  int64
+	Skipped int64
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
@@ -67,25 +63,6 @@ type Memo[V any] struct {
 	hits    atomic.Int64
 	misses  atomic.Int64
 	skipped atomic.Int64
-
-	// spill, when enabled, is the second-chance tier for over-budget values:
-	// instead of being dropped on admission they are encoded and handed to
-	// the spill store, and later lookups try the store before rebuilding.
-	spill     SpillStore
-	spillEnc  func(V) ([]byte, error)
-	spillDec  func([]byte) (V, error)
-	spilled   atomic.Int64
-	spillHits atomic.Int64
-}
-
-// SpillStore is the byte-level backend a Memo spills over-budget values to —
-// typically a content-addressed artifact store (internal/artifact implements
-// it). SpillPut reports whether the value was retained; SpillGet returns the
-// bytes previously stored for k. Implementations must be safe for concurrent
-// use.
-type SpillStore interface {
-	SpillPut(k Key, data []byte) bool
-	SpillGet(k Key) ([]byte, bool)
 }
 
 // NewMemo returns a memo retaining at most budgetBytes of summed value cost
@@ -96,20 +73,6 @@ func NewMemo[V any](budgetBytes int64) *Memo[V] {
 		budgetBytes = 0
 	}
 	return &Memo[V]{entries: map[Key]*entry[V]{}, budget: budgetBytes}
-}
-
-// EnableSpill attaches a spill tier: values the byte budget would drop on
-// admission are encoded with enc and handed to st instead, and a lookup miss
-// tries st (decoding with dec) before running build. Spilled values are
-// never re-admitted to the in-memory tier — they stay in the store, so a hot
-// over-budget artifact costs a decode per use instead of a rebuild. enc and
-// dec must round-trip exactly (builds are deterministic pure functions of
-// the key, so a lossy codec would break the bit-identical-results contract).
-// Call before the memo sees traffic; it is not synchronized against lookups.
-func (m *Memo[V]) EnableSpill(st SpillStore, enc func(V) ([]byte, error), dec func([]byte) (V, error)) {
-	m.spill = st
-	m.spillEnc = enc
-	m.spillDec = dec
 }
 
 // GetChecked returns the value for k, building it with build on first use,
@@ -141,23 +104,6 @@ func (m *Memo[V]) GetChecked(k Key, build func() V, cost func(V) int64, valid fu
 		e := &entry[V]{done: make(chan struct{})}
 		m.entries[k] = e
 		m.mu.Unlock()
-		if m.spill != nil {
-			// Second chance before rebuilding: a value previously spilled for
-			// this key decodes in place of the build. The entry is torn down
-			// (not retained) so the value keeps living in the spill store.
-			if data, ok := m.spill.SpillGet(k); ok {
-				if v, err := m.spillDec(data); err == nil {
-					e.val = v
-					close(e.done)
-					m.mu.Lock()
-					delete(m.entries, k)
-					m.mu.Unlock()
-					m.spillHits.Add(1)
-					m.hits.Add(1)
-					return v, true
-				}
-			}
-		}
 		m.misses.Add(1)
 
 		e.val = m.runBuild(k, e, build)
@@ -177,8 +123,7 @@ func (m *Memo[V]) GetChecked(k Key, build func() V, cost func(V) int64, valid fu
 			c = cost(e.val)
 		}
 		m.mu.Lock()
-		over := m.budget > 0 && m.used+c > m.budget
-		if over {
+		if m.budget > 0 && m.used+c > m.budget {
 			// Over budget: hand the value to current waiters (they hold e)
 			// but do not retain it for future lookups.
 			delete(m.entries, k)
@@ -187,11 +132,6 @@ func (m *Memo[V]) GetChecked(k Key, build func() V, cost func(V) int64, valid fu
 			m.used += c
 		}
 		m.mu.Unlock()
-		if over && m.spill != nil {
-			if data, err := m.spillEnc(e.val); err == nil && m.spill.SpillPut(k, data) {
-				m.spilled.Add(1)
-			}
-		}
 		return e.val, false
 	}
 }
@@ -261,11 +201,9 @@ func (m *Memo[V]) runBuild(k Key, e *entry[V], build func() V) V {
 // Stats returns the current hit/miss counters.
 func (m *Memo[V]) Stats() Stats {
 	return Stats{
-		Hits:      m.hits.Load(),
-		Misses:    m.misses.Load(),
-		Skipped:   m.skipped.Load(),
-		Spilled:   m.spilled.Load(),
-		SpillHits: m.spillHits.Load(),
+		Hits:    m.hits.Load(),
+		Misses:  m.misses.Load(),
+		Skipped: m.skipped.Load(),
 	}
 }
 

@@ -19,7 +19,7 @@
 //	                            protocol); 413 beyond the chunk/blob limits
 //	GET    /v1/artifacts/{digest} the blob bytes (?stat=1 for metadata)
 //	GET    /v1/artifacts        list stored artifacts
-//	POST   /v1/artifacts/gc     remove unreferenced artifacts
+//	POST   /v1/artifacts/gc     remove every committed artifact
 //	GET    /v1/fleet            per-app fleet consensus + converge status
 //	GET    /v1/apps             the workload catalog, by suite
 //	GET    /v1/experiments      the experiment ids the daemon can run

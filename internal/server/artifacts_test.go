@@ -140,7 +140,7 @@ func TestArtifactUploadLifecycle(t *testing.T) {
 		t.Fatalf("honest upload after mismatch: %v", err)
 	}
 
-	// List and GC through the client (nothing holds refs here, so GC clears).
+	// List and GC through the client (GC removes every committed blob).
 	infos, err := c.ArtifactList(ctx)
 	if err != nil || len(infos) == 0 {
 		t.Fatalf("ArtifactList = (%d, %v), want non-empty", len(infos), err)

@@ -349,7 +349,7 @@ func (c *Client) ArtifactList(ctx context.Context) ([]artifact.Info, error) {
 	return resp.Artifacts, nil
 }
 
-// ArtifactGC asks the daemon to drop unreferenced blobs.
+// ArtifactGC asks the daemon to remove every committed blob.
 func (c *Client) ArtifactGC(ctx context.Context) (ArtifactGCResponse, error) {
 	var resp ArtifactGCResponse
 	err := c.do(ctx, http.MethodPost, "/v1/artifacts/gc", nil, &resp)

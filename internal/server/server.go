@@ -73,9 +73,9 @@ type Config struct {
 	Coordinator *dist.Coordinator
 
 	// Artifacts is the daemon's content-addressed blob store, served under
-	// /v1/artifacts and feeding scan jobs, worker artifact fetches, fleet
-	// sketch archival and measurement-cache spill. nil creates a
-	// temp-directory store that Shutdown removes.
+	// /v1/artifacts and feeding scan jobs, worker artifact fetches and fleet
+	// sketch archival. nil creates a temp-directory store that Shutdown
+	// removes.
 	Artifacts *artifact.Store
 
 	// execute overrides job execution — a test seam. nil selects the real
@@ -175,9 +175,6 @@ func New(cfg Config) *Server {
 		}
 		s.artifactDirOwned = dir
 	}
-	// Measurements the retention budget would evict spill into the store
-	// instead of being recomputed.
-	s.caches.EnableMeasurementSpill(artifact.NewMemoSpill(s.artifacts))
 	if s.cfg.execute == nil {
 		s.cfg.execute = s.executePipeline
 	}

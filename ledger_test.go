@@ -31,15 +31,18 @@ import (
 //     scheduling: 456-807 allocs/op at 3x over -cpu 1,2,4,8 with -count 5,
 //     and 432-735 beside another package's tests. The ceiling is about twice
 //     the highest reading.
-//   - memo measure-hit: a hit allocates the configuration boxed for its key,
-//     its span label and the result slice (3); 1000 iterations amortize the
-//     first lookup's pool refills.
+//   - memo measure-hit: a hit allocates only its span label and the result
+//     slice (2 allocs, 32-36 B/op); its key boxes nothing. 1000 iterations
+//     amortize the first lookup's pool refills.
 //   - memo optimize-job: five memo hits plus the per-job context set-up,
-//     37 allocs/op and about 41 KB/op. Rendering keys through fmt cost
+//     35 allocs/op and about 32 KB/op, 26 KB of it the report's
+//     core.Profile.Selected copy. Rendering keys through fmt cost
 //     288 KB/op, and a fully cached sweep starts no goroutine.
 //   - core profile: acrobat's 4x10k plan streams its windows through chain
-//     extraction chunk by chunk, about 1.8 MB/op; re-materializing the
-//     windows would add 4.2 MB.
+//     extraction chunk by chunk, about 1.5 MB/op; re-materializing the
+//     windows would add 4.2 MB. Chain extraction reuses one member buffer,
+//     so what allocates is each kept chain's copy: 2,711-2,712 allocs/op
+//     over -count 5, and the ceiling is about twice that.
 var rows = []ledger.Row{
 	{Layer: "sim", Case: "no-records", Bench: critics.BenchmarkSimNoRecords, N: 1, Procs: 1, Allocs: 8},
 	{Layer: "sim", Case: "telemetry-off", Bench: critics.BenchmarkSimTelemetryOff, N: 20},
@@ -47,9 +50,9 @@ var rows = []ledger.Row{
 	{Layer: "measure", Case: "streamed", Bench: critics.BenchmarkMeasureStreaming, N: 100, Procs: 1, Allocs: 40, Bytes: 1_750_000},
 	{Layer: "measure", Case: "sweep-serial", Bench: critics.BenchmarkSweepSerial, N: 3},
 	{Layer: "measure", Case: "sweep-batched", Bench: critics.BenchmarkSweepBatched, N: 3, Allocs: 1_700},
-	{Layer: "memo", Case: "measure-hit", Bench: critics.BenchmarkMeasureVariantHit, N: 1000, Allocs: 9},
-	{Layer: "memo", Case: "optimize-job", Bench: critics.BenchmarkOptimizeWarm, N: 1000, Allocs: 38, Bytes: 100_000},
-	{Layer: "core", Case: "profile", Bench: critics.BenchmarkProfiler, N: 5, Bytes: 2_500_000},
+	{Layer: "memo", Case: "measure-hit", Bench: critics.BenchmarkMeasureVariantHit, N: 1000, Allocs: 4, Bytes: 256},
+	{Layer: "memo", Case: "optimize-job", Bench: critics.BenchmarkOptimizeWarm, N: 1000, Allocs: 38, Bytes: 65_536},
+	{Layer: "core", Case: "profile", Bench: critics.BenchmarkProfiler, N: 5, Allocs: 5_400, Bytes: 2_500_000},
 	{Layer: "frontend", Case: "lru", Bench: critics.BenchmarkFrontendPolicyLRU, N: 10},
 	{Layer: "frontend", Case: "srrip", Bench: critics.BenchmarkFrontendPolicySRRIP, N: 10},
 	{Layer: "frontend", Case: "trrip", Bench: critics.BenchmarkFrontendPolicyTRRIP, N: 10},

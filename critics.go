@@ -230,7 +230,7 @@ func optimizeApp(ctx context.Context, name string, collect bool, opts ...Option)
 	if !ok {
 		return nil, nil, fmt.Errorf("critics: unknown app %q (mobile apps: %v)", name, Apps())
 	}
-	defer recoverCancelled(ctx, &err)
+	defer exp.RecoverCancelled(ctx, &err)
 	ec := newCtx(opts...)
 	ec.SetRunContext(ctx)
 	if err := exp.ValidateFrontend(ec.L1IPolicy, ec.CodeLayout); err != nil {
@@ -273,7 +273,7 @@ func optimizeApp(ctx context.Context, name string, collect bool, opts ...Option)
 	return &Report{
 		App:                   name,
 		UniqueChains:          prof.UniqueChains(),
-		SelectedChains:        len(prof.Selected()),
+		SelectedChains:        prof.NumSelected(),
 		ProfileCoverage:       prof.SelectedCoverage,
 		ThumbRepresent:        prof.ThumbRepresentableFrac(),
 		CompilerSummary:       st.String(),
@@ -392,7 +392,7 @@ func BuildProfileContext(ctx context.Context, name string, opts ...Option) (prof
 	if !ok {
 		return nil, fmt.Errorf("critics: unknown app %q", name)
 	}
-	defer recoverCancelled(ctx, &err)
+	defer exp.RecoverCancelled(ctx, &err)
 	ec := newCtx(opts...)
 	ec.SetRunContext(ctx)
 	prof = ec.Profile(app, false, 1)
@@ -413,7 +413,7 @@ func FleetConverge(ctx context.Context, name string, consensus *sketch.Sketch, f
 	if !ok {
 		return nil, fmt.Errorf("critics: unknown app %q", name)
 	}
-	defer recoverCancelled(ctx, &err)
+	defer exp.RecoverCancelled(ctx, &err)
 	ec := newCtx(opts...)
 	ec.SetRunContext(ctx)
 	rep, err = fleet.Converge(ctx, ec, app, consensus, fopts)
@@ -424,20 +424,6 @@ func FleetConverge(ctx context.Context, name string, consensus *sketch.Sketch, f
 		return nil, err
 	}
 	return rep, nil
-}
-
-// recoverCancelled converts a panic raised by a pipeline stage that consumed
-// a discarded, cancellation-invalidated artifact (memo lookups return zero
-// values once the run context is cancelled) back into ctx's error. Panics on
-// a live context are real bugs and propagate.
-func recoverCancelled(ctx context.Context, err *error) {
-	if p := recover(); p != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			*err = cerr
-			return
-		}
-		panic(p)
-	}
 }
 
 // CompileWithProfile applies the CritIC pass to an app's program under an

@@ -142,6 +142,17 @@ func (p *Profile) Selected() []Entry {
 	return out
 }
 
+// NumSelected counts the selected entries without copying them.
+func (p *Profile) NumSelected() int {
+	n := 0
+	for i := range p.Entries {
+		if p.Entries[i].Selected {
+			n++
+		}
+	}
+	return n
+}
+
 // BuildProfile profiles program pr over the windows plan samples from its
 // execution under seed and returns the CritIC profile under cfg. Each window
 // streams through chain extraction one cfg.ChunkSize chunk at a time as it is

@@ -43,18 +43,6 @@ type Config struct {
 	// Heartbeat is the /readyz probe cadence. Default 2s.
 	Heartbeat time.Duration
 
-	// ProbeTimeout bounds one heartbeat probe. Default 1s.
-	ProbeTimeout time.Duration
-
-	// FailAfter is how many consecutive probe failures mark a worker
-	// unhealthy. Default 2.
-	FailAfter int
-
-	// Oversubscribe multiplies the fleet's healthy capacity into Width, the
-	// floor on an experiment's shard pool, keeping workers saturated while
-	// shards block on the wire. Default 2.
-	Oversubscribe int
-
 	// Registry receives the coordinator's metric families; nil disables them.
 	Registry *telemetry.Registry
 
@@ -65,6 +53,20 @@ type Config struct {
 	// global timeout (per-attempt contexts bound each call).
 	Client *http.Client
 }
+
+const (
+	// probeTimeout bounds one heartbeat probe.
+	probeTimeout = time.Second
+
+	// failAfter is how many consecutive probe failures mark a worker
+	// unhealthy.
+	failAfter = 2
+
+	// oversubscribe multiplies the fleet's healthy capacity into Width, the
+	// floor on an experiment's shard pool, keeping workers saturated while
+	// shards block on the wire.
+	oversubscribe = 2
+)
 
 // workerState is one fleet member. Mutable fields are guarded by
 // Coordinator.mu except the atomics, which hot paths touch without it.
@@ -85,10 +87,10 @@ type workerState struct {
 }
 
 // Coordinator partitions experiment work across a worker fleet. It is an
-// exp.Remote: MeasureRemote dispatches one measurement unit with retry and
-// hedging, and Width sizes the experiment's own shard pool so many units are
-// on the wire at once. ScanRemote does the same for scan batches. Construct
-// with NewCoordinator; stop with Drain then Close.
+// exp.Remote: MeasureRemote dispatches one lane group with retry and
+// hedging, and Width sizes the experiment's own shard pool so many groups
+// are on the wire at once. ScanRemote does the same for scan batches.
+// Construct with NewCoordinator; stop with Drain then Close.
 type Coordinator struct {
 	cfg  Config
 	log  *slog.Logger
@@ -126,15 +128,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 2 * time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
-	}
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 2
-	}
-	if cfg.Oversubscribe <= 0 {
-		cfg.Oversubscribe = 2
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
@@ -300,7 +293,7 @@ func (c *Coordinator) markUnhealthy(url string) {
 	c.mu.Lock()
 	if w, ok := c.workers[url]; ok && w.healthy {
 		w.healthy = false
-		w.probeFails = c.cfg.FailAfter
+		w.probeFails = failAfter
 		c.updateHealthyGaugeLocked()
 		c.log.Warn("worker marked unhealthy after dispatch failure", "worker", url)
 	}
@@ -340,7 +333,7 @@ func (c *Coordinator) heartbeatLoop(ctx context.Context) {
 				w.probeFails = 0
 			} else {
 				w.probeFails++
-				if w.probeFails >= c.cfg.FailAfter && w.healthy {
+				if w.probeFails >= failAfter && w.healthy {
 					w.healthy = false
 					c.log.Warn("worker failed heartbeats", "worker", url, "consecutive", w.probeFails)
 				}
@@ -353,7 +346,7 @@ func (c *Coordinator) heartbeatLoop(ctx context.Context) {
 
 // probe GETs a worker's /readyz once.
 func (c *Coordinator) probe(url string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/readyz", nil)
 	if err != nil {
@@ -413,15 +406,16 @@ func (e errPermanent) Unwrap() error { return e.err }
 // errNoWorkers is returned when no healthy, non-excluded worker exists.
 var errNoWorkers = errors.New("dist: no healthy workers")
 
-// MeasureRemote implements exp.Remote: it dispatches one measurement unit to
-// the fleet with retry, backoff and hedging, and returns the decoded
-// measurement. Any error sends the caller to its local fallback.
-func (c *Coordinator) MeasureRemote(ctx context.Context, req exp.MeasureRequest) (*exp.Measurement, error) {
+// MeasureRemote implements exp.Remote: it dispatches one lane group to the
+// fleet as one task, with retry, backoff and hedging, and returns the
+// worker's measurements as decoded. Any error sends the caller to its local
+// fallback.
+func (c *Coordinator) MeasureRemote(ctx context.Context, req exp.MeasureRequest) ([]*exp.Measurement, error) {
 	tr, err := c.run(ctx, Task{Req: req})
 	if err != nil {
 		return nil, err
 	}
-	return tr.measurement(), nil
+	return tr.Meas, nil
 }
 
 // ScanRemote dispatches one scan batch (a set of trace chunks against
@@ -629,7 +623,7 @@ func (c *Coordinator) tryWorker(ctx context.Context, w *workerState, task Task, 
 }
 
 // post performs one HTTP task round-trip against a worker and classifies the
-// outcome: 200 → measurement; 4xx → permanent; anything else (5xx, transport
+// outcome: 200 → result; 4xx → permanent; anything else (5xx, transport
 // error, timeout) → transient, and the worker is marked unhealthy so the
 // heartbeat, not the dispatch path, decides when it is trusted again. A
 // non-empty legID propagates trace context on the wire (the worker records
@@ -692,7 +686,7 @@ func (c *Coordinator) post(ctx context.Context, w *workerState, task Task, trace
 }
 
 // Width implements exp.Remote: the fleet's healthy capacity ×
-// Oversubscribe. An experiment context's shard pool runs at least this wide,
+// oversubscribe. An experiment context's shard pool runs at least this wide,
 // so while shards block on the wire the workers stay saturated; local
 // fallbacks still get the context's own worker bound.
 func (c *Coordinator) Width() int {
@@ -704,7 +698,7 @@ func (c *Coordinator) Width() int {
 			capacity += w.capacity
 		}
 	}
-	return capacity * c.cfg.Oversubscribe
+	return capacity * oversubscribe
 }
 
 var _ exp.Remote = (*Coordinator)(nil)

@@ -1,18 +1,19 @@
 // Package dist is the distributed shard execution subsystem: a Coordinator
-// that farms an experiment's measurement units out to a fleet of Workers
+// that farms an experiment's measurement builds out to a fleet of Workers
 // over HTTP/JSON, behind the exp.Remote abstraction so the experiment code
 // is unchanged between local and distributed runs.
 //
-// The unit of work is one exp.MeasureRequest — the serializable form of an
-// exp.Context.MeasureVariant call, the profile→compile→simulate leaf that
-// dominates every experiment's cost. The experiment context runs its shard
-// closures on its own sched.Pool, at least Coordinator.Width wide (healthy
-// capacity × oversubscription); each closure's measurement cache miss
-// dispatches a Task to a worker (Coordinator.MeasureRemote), and the decoded
-// TaskResult is written into the same preallocated, index-addressed memo
-// slot a local build would have filled. Every wire field is integer- or
-// bool-valued plain data, so the JSON round-trip is exact and a distributed
-// run is bit-identical to a serial local one — the property
+// The unit of work is one exp.MeasureRequest — a lane group: the machine
+// configurations of one (app, variant) that a sweep would build locally as
+// lanes of one trace pass, the profile→compile→simulate leaf that dominates
+// every experiment's cost. The experiment context runs its shard closures on
+// its own sched.Pool, at least Coordinator.Width wide (healthy capacity ×
+// oversubscription); each measurement cache miss dispatches its lane group
+// as a Task to a worker (Coordinator.MeasureRemote), which builds it through
+// the same memoized group build, and the decoded measurements are published
+// under the same memo keys a local build would have filled. Every wire field
+// is integer- or bool-valued plain data, so the JSON round-trip is exact and
+// a distributed run is bit-identical to a serial local one — the property
 // TestDistributedDeterminism enforces with a mid-run worker failure
 // injected.
 //
@@ -21,14 +22,14 @@
 //   - Registration: workers are added explicitly (AddWorker / the
 //     coordinator's POST /dist/v1/register endpoint) and removed on
 //     deregistration or operator action.
-//   - Health: a heartbeat loop probes every worker's /readyz; FailAfter
+//   - Health: a heartbeat loop probes every worker's /readyz; two
 //     consecutive failures mark it unhealthy (skipped by dispatch) until a
 //     probe succeeds again. A failed task dispatch marks the worker
 //     unhealthy immediately — faster than waiting for the next probe.
 //   - Retry: a failed attempt is retried with exponential backoff on a
 //     different worker (the failing worker is excluded) up to MaxAttempts;
-//     4xx task responses are permanent (the request itself is bad) and are
-//     not retried.
+//     4xx task responses are permanent (the request itself is bad, e.g. a
+//     config the pipeline refuses) and are not retried.
 //   - Hedging: an attempt still outstanding after HedgeDelay is re-dispatched
 //     to a second worker; the first result wins and the loser is cancelled,
 //     cutting straggler tail latency.
@@ -36,7 +37,7 @@
 //     in-flight ones; Worker.Drain flips /readyz to 503 (heartbeats stop
 //     routing to it), refuses new tasks and waits for running ones.
 //   - Fallback: when every attempt fails (fleet empty, drained, partitioned),
-//     the dispatching exp.Context computes the unit locally, so a degraded
+//     the dispatching exp.Context builds the group locally, so a degraded
 //     fleet degrades throughput, never correctness.
 //
 // All of it is instrumented: tasks dispatched/retried/hedged/failed
@@ -48,11 +49,9 @@ package dist
 import (
 	"fmt"
 
-	"critics/internal/cpu"
 	"critics/internal/exp"
 	"critics/internal/obs"
 	"critics/internal/scan"
-	"critics/internal/trace"
 )
 
 // Wire paths. The worker serves TaskPath (plus /healthz and /readyz); the
@@ -66,8 +65,8 @@ const (
 )
 
 // Task is the coordinator→worker unit of work, plus a coordinator-scoped id
-// for log correlation: either one measurement request (Req; Scan nil) or one
-// scan batch (Scan non-nil, Req zero).
+// for log correlation: either one lane group's measurement request (Req;
+// Scan nil) or one scan batch (Scan non-nil, Req zero).
 type Task struct {
 	ID   int64              `json:"id"`
 	Req  exp.MeasureRequest `json:"req"`
@@ -95,17 +94,13 @@ func (t Task) label() string {
 	return fmt.Sprintf("%s/%s", t.Req.App.Name, t.Req.Kind)
 }
 
-// TaskResult is the worker's reply: the measurement in wire form. All of it
-// round-trips exactly: the cpu.Result counters, the window aggregates, and
-// (for collect=true requests only) the per-instruction records, dynamic
-// stream and fanouts. Streamed (collect=false) measurements retain no
-// slices, so their replies are a few hundred bytes regardless of window
-// length.
+// TaskResult is the worker's reply.
 type TaskResult struct {
-	Res     cpu.Result    `json:"res"`
-	Agg     exp.WindowAgg `json:"agg"`
-	Dyns    []trace.Dyn   `json:"dyns,omitempty"`
-	Fanouts []int32       `json:"fanouts,omitempty"`
+	// Meas carries a measurement request's results, one per config in
+	// order, in exp.Measurement's exact wire form. Streamed (collect=false)
+	// measurements retain no slices, so each is a few hundred bytes
+	// regardless of window length.
+	Meas []*exp.Measurement `json:"meas,omitempty"`
 
 	// Scan carries a scan batch's per-chunk results (Task.Scan requests
 	// only). Chunk scoring is integer-only and position-independent, so
@@ -117,17 +112,6 @@ type TaskResult struct {
 	// obs trace headers. Timestamps are microseconds in the worker's task
 	// clock; the coordinator rebases them into the job trace on merge.
 	Spans []obs.Span `json:"spans,omitempty"`
-}
-
-// resultOf converts a measurement (plus any recorded spans) to its wire
-// form.
-func resultOf(m *exp.Measurement, spans []obs.Span) TaskResult {
-	return TaskResult{Res: m.Res, Agg: m.Agg, Dyns: m.Dyns, Fanouts: m.Fanouts, Spans: spans}
-}
-
-// measurement converts the wire form back.
-func (r TaskResult) measurement() *exp.Measurement {
-	return &exp.Measurement{Res: r.Res, Agg: r.Agg, Dyns: r.Dyns, Fanouts: r.Fanouts}
 }
 
 // registerRequest is the POST /dist/v1/register (and /deregister) body.

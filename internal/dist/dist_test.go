@@ -48,7 +48,7 @@ func newStubWorker(t *testing.T) *stubWorker {
 				return
 			}
 		}
-		writeJSON(w, http.StatusOK, TaskResult{Res: cpu.Result{Cycles: 42, Instrs: 7}})
+		writeJSON(w, http.StatusOK, TaskResult{Meas: []*exp.Measurement{{Res: cpu.Result{Cycles: 42, Instrs: 7}}}})
 	})
 	s.srv = httptest.NewServer(mux)
 	t.Cleanup(s.srv.Close)
@@ -64,14 +64,12 @@ func testConfig(reg *telemetry.Registry) Config {
 		RetryBackoff: 5 * time.Millisecond,
 		HedgeDelay:   -1, // off
 		Heartbeat:    25 * time.Millisecond,
-		ProbeTimeout: time.Second,
-		FailAfter:    2,
 		Registry:     reg,
 	}
 }
 
 func measureReq() exp.MeasureRequest {
-	return exp.MeasureRequest{Kind: "base", Seed: 1}
+	return exp.MeasureRequest{Kind: "base", Configs: []cpu.Config{cpu.DefaultConfig()}, Seed: 1}
 }
 
 func TestRegistrationAndHeartbeatHealth(t *testing.T) {
@@ -88,7 +86,7 @@ func TestRegistrationAndHeartbeatHealth(t *testing.T) {
 		t.Fatalf("Workers() = %+v", ws)
 	}
 
-	// Flip readiness off: FailAfter consecutive probe failures mark it
+	// Flip readiness off: two consecutive probe failures mark it
 	// unhealthy.
 	w.ready.Store(false)
 	waitFor(t, "worker marked unhealthy", func() bool { return c.HealthyWorkers() == 0 })
@@ -153,12 +151,12 @@ func TestRetryOntoDifferentWorker(t *testing.T) {
 	c.AddWorker(bad.srv.URL) // seq 0: deterministic first pick when idle
 	c.AddWorker(good.srv.URL)
 
-	m, err := c.MeasureRemote(context.Background(), measureReq())
+	ms, err := c.MeasureRemote(context.Background(), measureReq())
 	if err != nil {
 		t.Fatalf("MeasureRemote: %v", err)
 	}
-	if m.Res.Cycles != 42 {
-		t.Fatalf("Cycles = %d, want 42 (from the healthy worker)", m.Res.Cycles)
+	if ms[0].Res.Cycles != 42 {
+		t.Fatalf("Cycles = %d, want 42 (from the healthy worker)", ms[0].Res.Cycles)
 	}
 	if bad.tasks.Load() != 1 || good.tasks.Load() != 1 {
 		t.Fatalf("task counts bad=%d good=%d, want 1 and 1", bad.tasks.Load(), good.tasks.Load())
@@ -237,6 +235,39 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	// Permanent failures don't impugn the worker's health.
 	if got := c.HealthyWorkers(); got != 2 {
 		t.Fatalf("HealthyWorkers = %d, want 2", got)
+	}
+}
+
+// TestRefusedRequestIsBadTask: a request the pipeline refuses (a 0-way L1I,
+// no configs) would be refused by every worker, so it fails after one
+// dispatch and leaves the worker that refused it healthy.
+func TestRefusedRequestIsBadTask(t *testing.T) {
+	cfg := testConfig(telemetry.NewRegistry())
+	cfg.Heartbeat = time.Hour // no re-probe: health may change only on the dispatch path
+	c := NewCoordinator(cfg)
+	defer c.Close()
+	for range 2 {
+		srv := httptest.NewServer(NewWorker(WorkerConfig{Capacity: 1}).Handler())
+		defer srv.Close()
+		c.AddWorker(srv.URL)
+	}
+
+	zeroWays := cpu.DefaultConfig()
+	zeroWays.Hier.L1I.Ways = 0
+	for name, req := range map[string]exp.MeasureRequest{
+		"0-way L1I":  {Kind: exp.VarBase, Configs: []cpu.Config{zeroWays}, Seed: 1},
+		"no configs": {Kind: exp.VarBase, Seed: 1},
+	} {
+		before := c.met.dispatched.Value()
+		if _, err := c.MeasureRemote(context.Background(), req); err == nil {
+			t.Errorf("%s: MeasureRemote succeeded, want the workers' refusal", name)
+		}
+		if n := c.met.dispatched.Value() - before; n != 1 {
+			t.Errorf("%s: dispatched %d times, want 1", name, n)
+		}
+		if n := c.HealthyWorkers(); n != 2 {
+			t.Errorf("%s: %d healthy workers after the refusal, want 2", name, n)
+		}
 	}
 }
 

@@ -184,11 +184,7 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 	if task.Scan != nil {
 		result.Scan, err = w.executeScan(ctx, *task.Scan)
 	} else {
-		var m *exp.Measurement
-		m, err = w.execute(ctx, task)
-		if err == nil {
-			result = resultOf(m, nil)
-		}
+		result.Meas, err = w.execute(ctx, task)
 	}
 	if err != nil {
 		if w.tasksErr != nil {
@@ -224,15 +220,21 @@ func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 // kind) — permanent, not worker-specific.
 var errBadTask = fmt.Errorf("task rejected by the pipeline")
 
-// execute runs one task with panic isolation: a panicking build fails the
-// task, not the worker.
-func (w *Worker) execute(ctx context.Context, task Task) (m *exp.Measurement, err error) {
+// execute runs one measurement task with panic isolation: a panicking build
+// fails the task, not the worker. Any error but the task's cancellation (an
+// empty request, an invalid config) would recur on every worker, so it marks
+// a bad task.
+func (w *Worker) execute(ctx context.Context, task Task) (ms []*exp.Measurement, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			m, err = nil, fmt.Errorf("%w: %v", errBadTask, p)
+			ms, err = nil, fmt.Errorf("%w: %v", errBadTask, p)
 		}
 	}()
-	return exp.ExecuteMeasure(ctx, task.Req, w.cfg.Caches)
+	ms, err = exp.ExecuteMeasure(ctx, task.Req, w.cfg.Caches)
+	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		err = fmt.Errorf("%w: %v", errBadTask, err)
+	}
+	return ms, err
 }
 
 // executeScan scores one scan batch. Both inputs arrive by digest: whatever

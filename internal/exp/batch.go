@@ -25,12 +25,41 @@ func (c *Context) MeasureBatch(a workload.App, kind string, cfgs []cpu.Config, c
 	return c.MeasureSweep(a, units, collect)
 }
 
-// measureRemote dispatches one configuration's MeasureRequest to the
+// buildLanes builds the lane group a miss planned, one measurement per
+// config: on the attached Remote as one MeasureRequest, else (also when the
+// fleet cannot serve it) here as lanes of one measure call.
+func (c *Context) buildLanes(a workload.App, kind string, cfgs []cpu.Config, collect bool, label string, key sched.Key) []*Measurement {
+	if c.remote != nil {
+		if ms, served := c.measureRemote(a, kind, cfgs, collect, label, key); served {
+			return ms
+		}
+		defer c.fallbackSpan(label, key)()
+	}
+	// trrip lanes simulate with temperature hints derived from this
+	// variant's laid-out code: a property of the binary the key already
+	// names, so they are attached here, after keying, and derived once per
+	// build. A worker derives its own.
+	p, _ := c.Variant(a, kind)
+	var temps *cache.TempHints
+	for k := range cfgs {
+		if cfgs[k].Hier.L1I.Policy == cache.PolicyTRRIP {
+			if temps == nil {
+				h := layout.Temperatures(p, c.Profile(a, false, 1))
+				temps = &h
+			}
+			cfgs[k].Hier.Temps = temps
+		}
+	}
+	return c.measure(p, cfgs, collect)
+}
+
+// measureRemote dispatches a lane group as one MeasureRequest to the
 // attached Remote. served is false when the fleet could not serve it
-// (drained, all workers down, retries exhausted) and the caller must build
-// locally; a run cancelled mid-dispatch is served with a discardable nil,
-// which the memo validity check drops before the run fails on Err.
-func (c *Context) measureRemote(a workload.App, kind string, cfg cpu.Config, collect bool, label string, key sched.Key) (m *Measurement, served bool) {
+// (drained, all workers down, retries exhausted, a reply that is not one
+// measurement per config) and the caller must build locally; a run
+// cancelled mid-dispatch is served with discardable nils, which the memo
+// validity check drops before the run fails on Err.
+func (c *Context) measureRemote(a workload.App, kind string, cfgs []cpu.Config, collect bool, label string, key sched.Key) (ms []*Measurement, served bool) {
 	ctx := c.runCtx
 	if ctx == nil {
 		ctx = context.Background()
@@ -40,18 +69,25 @@ func (c *Context) measureRemote(a workload.App, kind string, cfg cpu.Config, col
 	if t, _, ok := obs.FromContext(ctx); ok {
 		ctx = obs.ContextWith(ctx, t, obs.BuildSpanID(label, keyHex8(key)))
 	}
-	cfg.Metrics = nil
-	m, err := c.remote.MeasureRemote(ctx, MeasureRequest{
-		App: a.Params, Kind: kind, Config: cfg, Collect: collect,
+	wire := slices.Clone(cfgs)
+	for k := range wire {
+		wire[k].Metrics = nil
+	}
+	ms, err := c.remote.MeasureRemote(ctx, MeasureRequest{
+		App: a.Params, Kind: kind, Configs: wire, Collect: collect,
 		Seed: c.Seed, WarmupArch: c.WarmupArch, WarmArch: c.WarmArch,
 		MeasureArch: c.MeasureArch, ProfilePlan: c.ProfilePlan,
 		HighFanout: c.HighFanout,
 	})
-	if err == nil {
-		return m, true
+	// The reply comes from outside the process, so it is checked here, once.
+	if err == nil && len(ms) == len(cfgs) && !slices.Contains(ms, nil) {
+		return ms, true
 	}
-	// Remote implementations account the fallback.
-	return nil, c.Err() != nil
+	// Remote implementations account a failed dispatch's fallback.
+	if c.Err() != nil {
+		return make([]*Measurement, len(cfgs)), true
+	}
+	return nil, false
 }
 
 // fallbackSpan starts the span of a local build that stands in for a failed
@@ -95,10 +131,9 @@ type MeasureUnit struct {
 // fig10/fig11/fig12/fig13 design-space sweeps); the later lookups publish
 // those lanes under their own keys. A lane is bit-identical to a one-lane
 // build, so grouping only changes build strategy: later single-variant
-// lookups hit the same entries, and distributed workers never see a new
-// request shape. With a Remote attached each miss is dispatched as its own
-// MeasureRequest, and a miss the fleet cannot serve is built locally as one
-// lane.
+// lookups hit the same entries. The lanes are planned the same way with a
+// Remote attached, which then receives them as one MeasureRequest; a group
+// the fleet cannot serve is built locally as the same lanes.
 //
 // Groups are independent, so they run concurrently on a sched.Pool: at most
 // c.workers() groups of one call are in flight (the bound is per call:
@@ -194,11 +229,10 @@ func (c *Context) measureGroups(a workload.App, plan *sweep, out []*Measurement,
 	sched.NewPool(w).Map(len(todo), func(n int) { c.measureGroup(a, s, todo[n]) })
 }
 
-// measureGroup looks up the units of group g in order, building misses as
-// lanes of one measure call (see MeasureSweep), and writes their results to
-// s.out. Its build is the one memoized measurement build: it runs locally,
-// as the fallback of a failed remote dispatch, and on every worker
-// (ExecuteMeasure), so each derives trrip's hints the same way.
+// measureGroup looks up the units of group g in order, building each miss
+// with the group's later uncached units as one lane group (see MeasureSweep),
+// and writes their results to s.out. The dispatching context and every
+// worker (ExecuteMeasure) plan the same lanes.
 func (c *Context) measureGroup(a workload.App, s *sweep, g int) {
 	var label string
 	var built map[sched.Key]*Measurement // lanes measured ahead of their own lookup
@@ -221,17 +255,12 @@ func (c *Context) measureGroup(a workload.App, s *sweep, g int) {
 			if m, ok := built[s.keys[i]]; ok {
 				return m
 			}
-			if c.remote != nil {
-				if m, served := c.measureRemote(a, kind, s.units[i].Cfg, s.collect, label, s.keys[i]); served {
-					return m
-				}
-				defer c.fallbackSpan(label, s.keys[i])()
-			}
 			// This miss's lanes: itself plus every later unit of the group
 			// that is neither a repeat nor cached. A peeked hit is served
 			// here, which is that key's one lookup.
 			lanes := []int{i}
-			for j := i + 1; j < len(s.units) && c.remote == nil && !c.serialSweeps; j++ {
+			cfgs := []cpu.Config{s.units[i].Cfg}
+			for j := i + 1; j < len(s.units) && !c.serialSweeps; j++ {
 				if s.group[j] != g || slices.Contains(s.keys[:j], s.keys[j]) {
 					continue
 				}
@@ -240,25 +269,9 @@ func (c *Context) measureGroup(a workload.App, s *sweep, g int) {
 					continue
 				}
 				lanes = append(lanes, j)
+				cfgs = append(cfgs, s.units[j].Cfg)
 			}
-			// trrip lanes simulate with temperature hints derived from
-			// this variant's laid-out code: a property of the binary the
-			// key already names, so they are attached here, after keying,
-			// and derived once for every trrip lane of the build.
-			p, _ := c.Variant(a, kind)
-			var temps *cache.TempHints
-			laneCfgs := make([]cpu.Config, len(lanes))
-			for k, j := range lanes {
-				laneCfgs[k] = s.units[j].Cfg
-				if laneCfgs[k].Hier.L1I.Policy == cache.PolicyTRRIP {
-					if temps == nil {
-						h := layout.Temperatures(p, c.Profile(a, false, 1))
-						temps = &h
-					}
-					laneCfgs[k].Hier.Temps = temps
-				}
-			}
-			ms := c.measure(p, laneCfgs, s.collect)
+			ms := c.buildLanes(a, kind, cfgs, s.collect, label, s.keys[i])
 			built = make(map[sched.Key]*Measurement, len(lanes))
 			for k, j := range lanes {
 				built[s.keys[j]] = ms[k]

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,7 +66,7 @@ type Context struct {
 	// (SetRunContext).
 	runCtx context.Context
 
-	// remote, when non-nil, executes measurement units elsewhere
+	// remote, when non-nil, executes measurement lane groups elsewhere
 	// (SetRemote) and widens the shard pool to its Width. It preserves
 	// results bit-for-bit — it only moves where the work runs.
 	remote Remote
@@ -187,14 +188,14 @@ func (c *Context) validFn() func() bool {
 	return func() bool { return ctx.Err() == nil }
 }
 
-// SetRemote routes measurement units (the expensive profile→compile→simulate
-// leaf of every experiment) through r: each measurement cache miss
-// dispatches its own MeasureRequest instead of computing locally, and the
-// returned measurement is cached as if it had been built here. A dispatch
-// error falls back to local computation, so a degraded or empty fleet slows
-// a run down but never fails it. While r is attached, shard maps run at
-// least r.Width() wide, so that many units can be on the wire at once. nil
-// restores local execution.
+// SetRemote routes measurement builds (the expensive profile→compile→simulate
+// leaf of every experiment) through r: the lane group a measurement cache
+// miss would build locally is dispatched as one MeasureRequest instead, and
+// the returned measurements are cached as if they had been built here. A
+// dispatch error falls back to the local build, so a degraded or empty fleet
+// slows a run down but never fails it. While r is attached, shard maps run
+// at least r.Width() wide, so that many groups can be on the wire at once.
+// nil restores local execution.
 func (c *Context) SetRemote(r Remote) { c.remote = r }
 
 // QuickContext returns a reduced-scale context for tests and benchmarks.
@@ -378,12 +379,13 @@ type WindowAgg struct {
 // consume. Agg is always populated; Dyns, Fanouts and Res.Records are only
 // retained when the measurement was taken with collect=true (trace export
 // and other per-instruction consumers) — the streaming measure path never
-// materializes them.
+// materializes them. Its JSON form is its distributed wire form: all plain
+// integer and bool data, so the round-trip is exact.
 type Measurement struct {
-	Res     cpu.Result
-	Agg     WindowAgg
-	Dyns    []trace.Dyn
-	Fanouts []int32
+	Res     cpu.Result  `json:"res"`
+	Agg     WindowAgg   `json:"agg"`
+	Dyns    []trace.Dyn `json:"dyns,omitempty"`
+	Fanouts []int32     `json:"fanouts,omitempty"`
 }
 
 // aggObserver returns the commit observer that folds the measured window
@@ -545,20 +547,21 @@ func (c *Context) MeasureVariant(a workload.App, kind string, cfg cpu.Config, co
 	return c.MeasureSweep(a, []MeasureUnit{{Kind: kind, Cfg: cfg}}, collect)[0]
 }
 
-// MeasureRequest is the serializable description of one MeasureVariant call
-// — the remote unit of work for distributed execution (internal/dist). It
-// carries every input the measurement's memo key covers (generator
-// parameters, compiler kind, machine configuration with telemetry stripped,
-// and the window/profiling scale), so a worker executing it computes exactly
-// the artifact the dispatching context would have built locally; every field
-// is integer- or bool-valued plain data, so the JSON round-trip is exact and
-// distribution preserves bit-identical results. The config carries no
-// temperature hints: for a trrip L1I the worker derives them from the app,
-// kind and profile plan, as the local build does.
+// MeasureRequest is the serializable description of one lane group: the
+// machine configurations of one (app, variant) that a sweep builds as lanes
+// of one trace pass. It is the remote unit of work for distributed execution
+// (internal/dist). It carries every input the lanes' memo keys cover
+// (generator parameters, compiler kind, machine configurations with
+// telemetry stripped, and the window/profiling scale), so a worker executing
+// it computes exactly the artifacts the dispatching context would have built
+// locally; every field is integer- or bool-valued plain data, so the JSON
+// round-trip is exact and distribution preserves bit-identical results. The
+// configs carry no temperature hints: for a trrip L1I the worker derives
+// them from the app, kind and profile plan, as the local build does.
 type MeasureRequest struct {
 	App     workload.Params `json:"app"`
 	Kind    string          `json:"kind"`
-	Config  cpu.Config      `json:"config"`
+	Configs []cpu.Config    `json:"configs"`
 	Collect bool            `json:"collect,omitempty"`
 
 	Seed        int64            `json:"seed"`
@@ -569,13 +572,14 @@ type MeasureRequest struct {
 	HighFanout  int32            `json:"high_fanout"`
 }
 
-// Remote executes measurement units somewhere other than this process.
+// Remote executes measurement lane groups somewhere other than this process.
 // internal/dist's Coordinator is the fleet-backed implementation.
 type Remote interface {
-	// MeasureRemote executes req and returns its measurement. The result
-	// must be bit-identical to a local execution of the same request; an
-	// error makes the caller fall back to computing locally.
-	MeasureRemote(ctx context.Context, req MeasureRequest) (*Measurement, error)
+	// MeasureRemote executes req and returns one measurement per config, in
+	// order. The results must be bit-identical to a local execution of the
+	// same request; an error, or a reply of the wrong length or with a nil
+	// entry, makes the caller fall back to computing locally.
+	MeasureRemote(ctx context.Context, req MeasureRequest) ([]*Measurement, error)
 
 	// Width is how many shards to keep in flight so the remote side stays
 	// busy; shard maps run at least this wide. 0 leaves them at the
@@ -584,19 +588,26 @@ type Remote interface {
 }
 
 // ExecuteMeasure runs one measurement request against the given cache bundle
-// — the worker side of distributed execution. caches == nil builds against a
-// private throwaway bundle. A ctx cancelled mid-build aborts the request,
-// and (per the memo validity contract) the partial artifacts are not
-// retained.
-func ExecuteMeasure(ctx context.Context, req MeasureRequest, caches *Caches) (m *Measurement, err error) {
+// — the worker side of distributed execution — and returns one measurement
+// per config, in order. It builds them through MeasureBatch, the memoized
+// group build a local sweep uses, so keys, trrip hints and lane results are
+// exactly a local build's. caches == nil builds against a private throwaway
+// bundle. A ctx cancelled mid-build aborts the request, and (per the memo
+// validity contract) the partial artifacts are not retained.
+func ExecuteMeasure(ctx context.Context, req MeasureRequest, caches *Caches) (ms []*Measurement, err error) {
+	// Requests come off the wire. An empty one has nothing to answer, and a
+	// malformed hierarchy (zero ways, unknown policy) would otherwise panic
+	// deep in cache construction on the worker, so refuse both.
+	if len(req.Configs) == 0 {
+		return nil, fmt.Errorf("exp: measurement %s/%s has no configs", req.App.Name, req.Kind)
+	}
+	for i := range req.Configs {
+		if verr := req.Configs[i].Hier.Validate(); verr != nil {
+			return nil, fmt.Errorf("exp: measurement %s/%s config %d invalid: %w", req.App.Name, req.Kind, i, verr)
+		}
+	}
 	if caches == nil {
 		caches = NewCaches()
-	}
-	// A malformed hierarchy (zero ways, unknown policy) would otherwise
-	// panic deep in cache construction on the worker; requests come off the
-	// wire, so refuse them with an error instead.
-	if verr := req.Config.Hier.Validate(); verr != nil {
-		return nil, fmt.Errorf("exp: measurement %s/%s config invalid: %w", req.App.Name, req.Kind, verr)
 	}
 	c := &Context{
 		Seed:        req.Seed,
@@ -609,27 +620,31 @@ func ExecuteMeasure(ctx context.Context, req MeasureRequest, caches *Caches) (m 
 	}
 	if ctx != nil {
 		c.SetRunContext(ctx)
-		defer func() {
-			// A shard skipped by cancellation can surface as a panic when a
-			// later stage consumes the discarded artifact; report it as the
-			// context error (same contract as exp.RunContext).
-			if p := recover(); p != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					m, err = nil, cerr
-					return
-				}
-				panic(p)
-			}
-		}()
+		defer RecoverCancelled(ctx, &err)
 	}
-	m = c.MeasureVariant(workload.App{Params: req.App}, req.Kind, req.Config, req.Collect)
+	ms = c.MeasureBatch(workload.App{Params: req.App}, req.Kind, req.Configs, req.Collect)
 	if cerr := c.Err(); cerr != nil {
 		return nil, cerr
 	}
-	if m == nil {
+	if slices.Contains(ms, nil) {
 		return nil, fmt.Errorf("exp: measurement %s/%s produced no result", req.App.Name, req.Kind)
 	}
-	return m, nil
+	return ms, nil
+}
+
+// RecoverCancelled, deferred by a run's entry point, converts a panic raised
+// by a pipeline stage that consumed a discarded, cancellation-invalidated
+// artifact (memo lookups return zero values once the run context is
+// cancelled) back into ctx's error. Panics on a live context are real bugs
+// and propagate.
+func RecoverCancelled(ctx context.Context, err *error) {
+	if p := recover(); p != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			*err = cerr
+			return
+		}
+		panic(p)
+	}
 }
 
 // measurementCost approximates a measurement's retained bytes. Streamed

@@ -186,7 +186,7 @@ func TestExecuteMeasureRejectsInvalidConfig(t *testing.T) {
 	req := MeasureRequest{
 		App:         workload.MobileApps()[0].Params,
 		Kind:        VarBase,
-		Config:      bad,
+		Configs:     []cpu.Config{bad},
 		Seed:        c.Seed,
 		WarmupArch:  c.WarmupArch,
 		WarmArch:    c.WarmArch,
@@ -201,7 +201,7 @@ func TestExecuteMeasureRejectsInvalidConfig(t *testing.T) {
 	}
 	unknown := cpu.DefaultConfig()
 	unknown.Hier.L1I.Policy = "plru"
-	req.Config = unknown
+	req.Configs = []cpu.Config{unknown}
 	if _, err := ExecuteMeasure(context.Background(), req, nil); err == nil {
 		t.Fatal("unknown policy accepted by ExecuteMeasure")
 	}

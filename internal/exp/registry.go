@@ -81,15 +81,7 @@ func RunContext(ctx context.Context, id string, c *Context) (out string, err err
 	prev := c.runCtx
 	c.SetRunContext(obs.ContextWith(ctx, t, span))
 	defer c.SetRunContext(prev)
-	defer func() {
-		if p := recover(); p != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				out, err = "", cerr
-				return
-			}
-			panic(p)
-		}
-	}()
+	defer RecoverCancelled(ctx, &err)
 	var t0 int64
 	if traced {
 		t0 = t.Now()

@@ -42,7 +42,7 @@ type gateRemote struct {
 	stalled  int
 }
 
-func (r *gateRemote) MeasureRemote(ctx context.Context, req MeasureRequest) (*Measurement, error) {
+func (r *gateRemote) MeasureRemote(ctx context.Context, req MeasureRequest) ([]*Measurement, error) {
 	r.mu.Lock()
 	r.inflight++
 	if r.inflight > r.peak {
@@ -130,13 +130,95 @@ type cancelRemote struct {
 	calls  atomic.Int64
 }
 
-func (r *cancelRemote) MeasureRemote(_ context.Context, req MeasureRequest) (*Measurement, error) {
+func (r *cancelRemote) MeasureRemote(_ context.Context, req MeasureRequest) ([]*Measurement, error) {
 	r.calls.Add(1)
 	r.cancel()
 	return ExecuteMeasure(context.Background(), req, nil)
 }
 
 func (r *cancelRemote) Width() int { return 0 }
+
+// countRemote computes each request in process, as a worker would, and
+// records how many configs each request carried, by kind. A non-nil mangle
+// rewrites every reply before it is returned.
+type countRemote struct {
+	mangle func([]*Measurement) []*Measurement
+
+	mu   sync.Mutex
+	reqs map[string][]int
+}
+
+func (r *countRemote) MeasureRemote(ctx context.Context, req MeasureRequest) ([]*Measurement, error) {
+	r.mu.Lock()
+	r.reqs[req.Kind] = append(r.reqs[req.Kind], len(req.Configs))
+	r.mu.Unlock()
+	ms, err := ExecuteMeasure(ctx, req, nil)
+	if err == nil && r.mangle != nil {
+		ms = r.mangle(ms)
+	}
+	return ms, err
+}
+
+func (r *countRemote) Width() int { return 0 }
+
+// fig11Units is fig11's seven machine configurations (the default and one
+// per hardware mechanism) for the base and CritIC binaries.
+func fig11Units() []MeasureUnit {
+	var units []MeasureUnit
+	for _, kind := range []string{VarBase, VarCritIC} {
+		units = append(units, MeasureUnit{kind, cpu.DefaultConfig()})
+		for _, m := range HWMechs {
+			units = append(units, MeasureUnit{kind, ApplyHW(m)})
+		}
+	}
+	return units
+}
+
+// TestRemoteGetsOneRequestPerGroup: with a Remote attached, a sweep plans
+// the lanes a local build would and dispatches each kind's uncached configs
+// as one request, so a cached config is not sent. The results are a local
+// sweep's.
+func TestRemoteGetsOneRequestPerGroup(t *testing.T) {
+	a := acrobat(t)
+	want := batchEquivCtx(false).MeasureSweep(a, fig11Units(), false)
+	for _, workers := range []int{1, 2} {
+		c := batchEquivCtx(false)
+		c.Workers = workers
+		c.MeasureVariant(a, VarBase, cpu.DefaultConfig(), false)
+		r := &countRemote{reqs: map[string][]int{}}
+		c.SetRemote(r)
+		got := c.MeasureSweep(a, fig11Units(), false)
+		if wantReqs := map[string][]int{VarBase: {6}, VarCritIC: {7}}; !reflect.DeepEqual(r.reqs, wantReqs) {
+			t.Errorf("Workers %d: configs per request %v, want %v", workers, r.reqs, wantReqs)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Workers %d: remote sweep differs from a local one", workers)
+		}
+	}
+}
+
+// TestRemoteBadReplyFallsBack: a reply that does not hold one measurement
+// per config, none nil, is built locally instead, with a local build's
+// results.
+func TestRemoteBadReplyFallsBack(t *testing.T) {
+	a := acrobat(t)
+	want := batchEquivCtx(false).MeasureSweep(a, fig11Units(), false)
+	for name, mangle := range map[string]func([]*Measurement) []*Measurement{
+		"short":     func(ms []*Measurement) []*Measurement { return ms[:len(ms)-1] },
+		"nil entry": func(ms []*Measurement) []*Measurement { ms[1] = nil; return ms },
+	} {
+		c := batchEquivCtx(false)
+		r := &countRemote{mangle: mangle, reqs: map[string][]int{}}
+		c.SetRemote(r)
+		got := c.MeasureSweep(a, fig11Units(), false)
+		if wantReqs := map[string][]int{VarBase: {7}, VarCritIC: {7}}; !reflect.DeepEqual(r.reqs, wantReqs) {
+			t.Errorf("%s reply: configs per request %v, want %v", name, r.reqs, wantReqs)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s reply: the fallback's results differ from a local sweep", name)
+		}
+	}
+}
 
 // TestCancelledSweepRetainsNothing: a sweep cancelled while groups are in
 // flight retains none of their measurements in the memo, complete ones

@@ -43,6 +43,21 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("criticd: %d %s", e.Code, e.Message)
 }
 
+// apiError decodes a non-2xx answer: the server's error body when it sent
+// one (the raw body text otherwise) and its Retry-After hint.
+func apiError(resp *http.Response, body []byte) *APIError {
+	e := &APIError{Code: resp.StatusCode, Message: strings.TrimSpace(string(body))}
+	var er ErrorResponse
+	if json.Unmarshal(body, &er) == nil && er.Error != "" {
+		e.Message = er.Error
+		e.Retryable = er.Retryable
+	}
+	if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
+		e.RetryAfter = time.Duration(sec) * time.Second
+	}
+	return e
+}
+
 // do runs one request and decodes the JSON response into out (skipped when
 // out is nil). Non-2xx responses become *APIError.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
@@ -71,16 +86,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return err
 	}
 	if resp.StatusCode/100 != 2 {
-		apiErr := &APIError{Code: resp.StatusCode, Message: strings.TrimSpace(string(data))}
-		var er ErrorResponse
-		if json.Unmarshal(data, &er) == nil && er.Error != "" {
-			apiErr.Message = er.Error
-			apiErr.Retryable = er.Retryable
-		}
-		if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
-			apiErr.RetryAfter = time.Duration(sec) * time.Second
-		}
-		return apiErr
+		return apiError(resp, data)
 	}
 	if out == nil {
 		return nil
@@ -155,13 +161,7 @@ func (c *Client) raw(ctx context.Context, path string) ([]byte, error) {
 		return nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		apiErr := &APIError{Code: resp.StatusCode, Message: strings.TrimSpace(string(data))}
-		var er ErrorResponse
-		if json.Unmarshal(data, &er) == nil && er.Error != "" {
-			apiErr.Message = er.Error
-			apiErr.Retryable = er.Retryable
-		}
-		return nil, apiErr
+		return nil, apiError(resp, data)
 	}
 	return data, nil
 }
@@ -186,16 +186,7 @@ func (c *Client) PostProfile(ctx context.Context, encoded []byte) error {
 		return err
 	}
 	if resp.StatusCode/100 != 2 {
-		apiErr := &APIError{Code: resp.StatusCode, Message: strings.TrimSpace(string(data))}
-		var er ErrorResponse
-		if json.Unmarshal(data, &er) == nil && er.Error != "" {
-			apiErr.Message = er.Error
-			apiErr.Retryable = er.Retryable
-		}
-		if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
-			apiErr.RetryAfter = time.Duration(sec) * time.Second
-		}
-		return apiErr
+		return apiError(resp, data)
 	}
 	return nil
 }
@@ -314,16 +305,7 @@ func (c *Client) putChunk(ctx context.Context, digest string, offset int64, chun
 		return st, &APIError{Code: resp.StatusCode, Message: "stale upload offset", Retryable: true}
 	}
 	if resp.StatusCode/100 != 2 {
-		apiErr := &APIError{Code: resp.StatusCode, Message: strings.TrimSpace(string(data))}
-		var er ErrorResponse
-		if json.Unmarshal(data, &er) == nil && er.Error != "" {
-			apiErr.Message = er.Error
-			apiErr.Retryable = er.Retryable
-		}
-		if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
-			apiErr.RetryAfter = time.Duration(sec) * time.Second
-		}
-		return st, apiErr
+		return st, apiError(resp, data)
 	}
 	return st, json.Unmarshal(data, &st)
 }

@@ -370,7 +370,7 @@ func (s *Server) executePipeline(ctx context.Context, req SubmitRequest) ([]byte
 			return nil, err
 		}
 		res.Text = fmt.Sprintf("app %s: %d dynamic instructions profiled, %d unique chains, %d selected, coverage %.1f%%\n",
-			prof.App, prof.TotalDyn, prof.UniqueChains(), len(prof.Selected()), 100*prof.SelectedCoverage)
+			prof.App, prof.TotalDyn, prof.UniqueChains(), prof.NumSelected(), 100*prof.SelectedCoverage)
 		res.Profile = prof
 	case KindExperiment:
 		out, err := critics.ExperimentContext(ctx, req.Experiment, opts...)

@@ -20,6 +20,11 @@
 // are high scratch whose use makes an instruction non-Thumb-representable.
 package workload
 
+import (
+	"slices"
+	"sync"
+)
+
 // Class is the workload family.
 type Class uint8
 
@@ -304,14 +309,19 @@ func SPECFloatApps() []App {
 	return out
 }
 
+// catalog is every suite's apps, built once for FindApp.
+var catalog = sync.OnceValue(func() []App {
+	return slices.Concat(MobileApps(), SPECIntApps(), SPECFloatApps())
+})
+
 // FindApp returns the catalog entry with the given name, searching all
-// suites; a suite is built only if the earlier ones lack the name.
+// suites. The App is a copy: Params holds no references, so callers share
+// no state through it.
 func FindApp(name string) (App, bool) {
-	for _, suite := range []func() []App{MobileApps, SPECIntApps, SPECFloatApps} {
-		for _, a := range suite() {
-			if a.Params.Name == name {
-				return a, true
-			}
+	apps := catalog()
+	for i := range apps {
+		if apps[i].Params.Name == name {
+			return apps[i], true
 		}
 	}
 	return App{}, false

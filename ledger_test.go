@@ -35,9 +35,10 @@ import (
 //     slice (2 allocs, 32-36 B/op); its key boxes nothing. 1000 iterations
 //     amortize the first lookup's pool refills.
 //   - memo optimize-job: five memo hits plus the per-job context set-up,
-//     35 allocs/op and about 32 KB/op, 26 KB of it the report's
-//     core.Profile.Selected copy. Rendering keys through fmt cost
-//     288 KB/op, and a fully cached sweep starts no goroutine.
+//     33 allocs/op and 1,792-1,795 B/op over -count 5. The report counts
+//     the selected chains without copying them (the copy cost 26 KB/op),
+//     the app lookup scans a catalog built once, rendering keys through fmt
+//     cost 288 KB/op, and a fully cached sweep starts no goroutine.
 //   - core profile: acrobat's 4x10k plan streams its windows through chain
 //     extraction chunk by chunk, about 1.5 MB/op; re-materializing the
 //     windows would add 4.2 MB. Chain extraction reuses one member buffer,
@@ -51,7 +52,7 @@ var rows = []ledger.Row{
 	{Layer: "measure", Case: "sweep-serial", Bench: critics.BenchmarkSweepSerial, N: 3},
 	{Layer: "measure", Case: "sweep-batched", Bench: critics.BenchmarkSweepBatched, N: 3, Allocs: 1_700},
 	{Layer: "memo", Case: "measure-hit", Bench: critics.BenchmarkMeasureVariantHit, N: 1000, Allocs: 4, Bytes: 256},
-	{Layer: "memo", Case: "optimize-job", Bench: critics.BenchmarkOptimizeWarm, N: 1000, Allocs: 38, Bytes: 65_536},
+	{Layer: "memo", Case: "optimize-job", Bench: critics.BenchmarkOptimizeWarm, N: 1000, Allocs: 35, Bytes: 4_096},
 	{Layer: "core", Case: "profile", Bench: critics.BenchmarkProfiler, N: 5, Allocs: 5_400, Bytes: 2_500_000},
 	{Layer: "frontend", Case: "lru", Bench: critics.BenchmarkFrontendPolicyLRU, N: 10},
 	{Layer: "frontend", Case: "srrip", Bench: critics.BenchmarkFrontendPolicySRRIP, N: 10},

@@ -31,7 +31,7 @@ func newPairRemote(wait bool) *pairRemote {
 	return &pairRemote{wait: wait, pair: make(chan struct{})}
 }
 
-func (r *pairRemote) MeasureRemote(ctx context.Context, req exp.MeasureRequest) (*exp.Measurement, error) {
+func (r *pairRemote) MeasureRemote(ctx context.Context, req exp.MeasureRequest) ([]*exp.Measurement, error) {
 	r.mu.Lock()
 	r.calls++
 	r.inflight++
